@@ -65,6 +65,32 @@ def _y1_submesh(cell: TriMesh) -> TriMesh:
     return sub
 
 
+def _factor_corrector_system(y1: TriMesh, geom: CellGeometry, tol: float):
+    """Bordered zero-mean corrector matrix (shared by both directions), its
+    dof map, and a solve with its SuperLU factor."""
+    a = fem.assemble_stiffness(y1, geom.d1)
+    a_red, _, dofmap = fem.apply_constraints(
+        a, np.zeros(y1.n_vertices), y1, periodic=True, zero_mean=True
+    )
+    return a_red, dofmap, solvers.factorize(a_red, tol)
+
+
+def _corrector(y1: TriMesh, geom: CellGeometry, direction: int,
+               system) -> CorrectorComponent:
+    a_red, dofmap, solve = system
+    b_red = dofmap.reduce(fem.assemble_corrector_rhs(y1, direction, coeff=geom.d1))
+    x = solve(b_red)
+    resid = float(
+        np.linalg.norm(b_red - a_red @ x) / max(np.linalg.norm(b_red), 1e-300)
+    )
+    return CorrectorComponent(
+        direction=direction,
+        theta=dofmap.expand(x[: dofmap.n_dofs]),
+        multiplier=dofmap.multiplier(x),
+        residual=resid,
+    )
+
+
 def solve_corrector(cell: TriMesh, geom: CellGeometry, direction: int,
                     tol: float = 1e-10) -> CorrectorComponent:
     """Solve the periodic cell problem for one unit-gradient direction.
@@ -74,34 +100,18 @@ def solve_corrector(cell: TriMesh, geom: CellGeometry, direction: int,
     the zero-mean multiplier, and the achieved relative residual.
     """
     y1 = _y1_submesh(cell)
-    a = fem.assemble_stiffness(y1, geom.d1)
-    b = fem.assemble_corrector_rhs(y1, direction, coeff=geom.d1)
-    a_red, b_red, dofmap = fem.apply_constraints(
-        a, b, y1, periodic=True, zero_mean=True
-    )
-    x = solvers.solve_spd(a_red, b_red, tol=tol, saddle=True)
-    resid = float(
-        np.linalg.norm(b_red - a_red @ x) / max(np.linalg.norm(b_red), 1e-300)
-    )
-    theta = dofmap.expand(x[: dofmap.n_dofs])
-    return CorrectorComponent(
-        direction=direction,
-        theta=theta,
-        multiplier=dofmap.multiplier(x),
-        residual=resid,
-    )
+    return _corrector(y1, geom, direction, _factor_corrector_system(y1, geom, tol))
 
 
 def solve_correctors(cell: TriMesh, geom: CellGeometry,
                      tol: float = 1e-10) -> CorrectorSolution:
-    """Both correctors on the shared Y1 submesh."""
+    """Both correctors on the shared Y1 submesh, from one factorisation."""
     y1 = _y1_submesh(cell)
+    system = _factor_corrector_system(y1, geom, tol)
     return CorrectorSolution(
         mesh=y1,
-        components=(
-            solve_corrector(y1, geom, 1, tol=tol),
-            solve_corrector(y1, geom, 2, tol=tol),
-        ),
+        components=(_corrector(y1, geom, 1, system),
+                    _corrector(y1, geom, 2, system)),
     )
 
 

@@ -268,6 +268,12 @@ def cmd_kernel(config: dict, outdir: Path) -> dict:
 
 def cmd_solve(config: dict, outdir: Path) -> dict:
     mac = config["macro"]
+    levels = float(mac["t_end"]) / float(mac["tau"])
+    if abs(levels - round(levels)) > 1e-9 * levels:
+        raise ValueError(
+            f"macro.t_end={mac['t_end']} is not a whole number of steps of "
+            f"macro.tau={mac['tau']}"
+        )
     tensor_path = Path(mac["tensor_path"] or outdir / "tensor.json")
     kernel_path = Path(mac["kernel_path"] or outdir / "kernel.json")
     if not tensor_path.exists():

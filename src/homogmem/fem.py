@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 from . import mesh as msh
@@ -54,6 +53,13 @@ class DofMap:
         free = self.vertex_to_dof >= 0
         out[self.vertex_to_dof[free]] = full[free]
         return out
+
+    def reduce(self, full: np.ndarray) -> np.ndarray:
+        """Load vector folded onto the system: slave entries add into their
+        masters, Dirichlet entries drop, the multiplier row (if any) is 0."""
+        free = self.vertex_to_dof >= 0
+        return np.bincount(self.vertex_to_dof[free], weights=full[free],
+                           minlength=self.n_system)
 
     def multiplier(self, x: np.ndarray) -> float:
         if self.multiplier_index is None:
@@ -286,7 +292,3 @@ def apply_constraints(a: sp.spmatrix, b: np.ndarray, mesh: TriMesh,
     )
     return a_red, b_red, dofmap
 
-
-def export_matrix_market(a: sp.spmatrix, path) -> None:
-    """Dump a sparse matrix as Matrix Market text for external inspection."""
-    scipy.io.mmwrite(path, a)

@@ -7,21 +7,27 @@ every step solves a single SPD system
 
     [(1 + r + sigma*tau*alpha) M + sigma*tau*K] y^{n+1} = rhs(y^n, w^n),
 
-with alpha = sum_k a_k / (1 + sigma*lambda_k*tau).  The discrete energy
-y'Ky + sum_k a_k w_k' M w_k is non-increasing for sigma >= 1/2.  A direct
-Volterra integrator over the full history is kept as an independent
-reference for convergence studies.
+with alpha = sum_k a_k / (1 + sigma*lambda_k*tau).  That matrix is
+factorised once per run, so a step costs one sparse triangular solve pair
+plus a few products with M, K and the (K x N) block of auxiliary fields.
+The discrete energy y'Ky + sum_k a_k w_k' M w_k is non-increasing for
+sigma >= 1/2; the quadratics q_k = w_k' M w_k are carried on the state and
+updated from the step increment, so the energy costs O(N + K) per level
+rather than K products with M.  A direct Volterra integrator over the full
+history is kept as an independent reference for convergence studies.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import fem, solvers
+from .errors import ConvergenceError
 from .kernel import KernelApproximation
 from .mesh import TriMesh
 
@@ -94,13 +100,20 @@ class _StepOperator:
         self.w_gain = 1.0 / (1.0 + sig * tau * ker.rates)
         self.tol = problem.solver_tol
 
+    @cached_property
+    def solve_step(self):
+        """Solve with the step matrix, factorised on first use."""
+        return solvers.factorize(self.step_matrix, self.tol)
+
 
 @dataclass
 class MacroState:
-    """Time level n: solution dofs y and auxiliary fields w_k (rows of w)."""
+    """Time level n: solution dofs y, auxiliary fields w_k (rows of w) and
+    their mass quadratics q_k = w_k' M w_k."""
 
     y: np.ndarray
     w: np.ndarray
+    q: np.ndarray
     n: int
     ops: _StepOperator = field(repr=False)
 
@@ -123,10 +136,7 @@ def _project_initial(problem: MacroProblem, ops: _StepOperator) -> np.ndarray:
     contrib *= (mesh.areas / 6.0)[:, None]
     b = np.zeros(mesh.n_vertices)
     np.add.at(b, mesh.triangles.ravel(), contrib.ravel())
-    free = ops.dofmap.vertex_to_dof >= 0
-    b_red = np.zeros(ops.dofmap.n_dofs)
-    np.add.at(b_red, ops.dofmap.vertex_to_dof[free], b[free])
-    return solvers.solve_spd(ops.mass, b_red, tol=ops.tol)
+    return solvers.solve_spd(ops.mass, ops.dofmap.reduce(b), tol=ops.tol)
 
 
 def init_state(problem: MacroProblem) -> MacroState:
@@ -138,36 +148,35 @@ def init_state(problem: MacroProblem) -> MacroState:
         )
     ops = _StepOperator(problem)
     y0 = _project_initial(problem, ops)
-    w0 = np.zeros((problem.kernel.amplitudes.size, ops.dofmap.n_dofs))
-    return MacroState(y=y0, w=w0, n=0, ops=ops)
+    n_terms = problem.kernel.amplitudes.size
+    w0 = np.zeros((n_terms, ops.dofmap.n_dofs))
+    return MacroState(y=y0, w=w0, q=np.zeros(n_terms), n=0, ops=ops)
 
 
 def step(state: MacroState, problem: MacroProblem) -> MacroState:
     """Advance one time level of the eliminated extended system."""
     ops = state.ops
     sig, tau = problem.sigma, problem.tau
-    rhs = ops.mass_weight * (ops.mass @ state.y)
+    rhs = ops.mass @ (ops.mass_weight * state.y - tau * (ops.gains @ state.w))
     if sig < 1.0:
         rhs -= (1.0 - sig) * tau * (ops.stiffness @ state.y)
-    if state.w.size:
-        rhs -= tau * (ops.mass @ (ops.gains @ state.w))
-    y_next = solvers.solve_spd(ops.step_matrix, rhs, tol=ops.tol)
-    if state.w.size:
-        dy = y_next - state.y
-        w_next = ops.w_decay[:, None] * state.w + ops.w_gain[:, None] * dy[None, :]
-    else:
-        w_next = state.w
-    return MacroState(y=y_next, w=w_next, n=state.n + 1, ops=ops)
+    y_next = ops.solve_step(rhs)
+    # w_k <- d_k w_k + g_k dy, so q_k <- d_k^2 q_k + 2 d_k g_k w_k'M dy
+    # + g_k^2 dy'M dy
+    d, g = ops.w_decay, ops.w_gain
+    dy = y_next - state.y
+    m_dy = ops.mass @ dy
+    q_next = d * d * state.q + 2.0 * d * g * (state.w @ m_dy) + g * g * (dy @ m_dy)
+    w_next = d[:, None] * state.w
+    for w_k, g_k in zip(w_next, g):
+        w_k += g_k * dy
+    return MacroState(y=y_next, w=w_next, q=q_next, n=state.n + 1, ops=ops)
 
 
 def energy(state: MacroState) -> float:
     """Discrete energy y'Ky + sum_k a_k w_k' M w_k at the current level."""
     ops = state.ops
-    total = float(state.y @ (ops.stiffness @ state.y))
-    if state.w.size:
-        mw = ops.mass @ state.w.T
-        total += float(ops.amplitudes @ np.einsum("kn,nk->k", state.w, mw))
-    return total
+    return float(state.y @ (ops.stiffness @ state.y) + ops.amplitudes @ state.q)
 
 
 def l2_norm(state: MacroState) -> float:
@@ -198,7 +207,8 @@ def run(problem: MacroProblem, snapshot_times=(), store_trajectory: bool = False
     """March from t=0 to t_end recording energy and L2 norm every level.
 
     ``snapshot_times`` are rounded to the nearest time level; snapshots are
-    full nodal vectors (zeros on the Dirichlet boundary).
+    full nodal vectors (zeros on the Dirichlet boundary).  Raises
+    ConvergenceError at the first level whose energy is not finite.
     """
     n_steps = problem.n_steps
     state = init_state(problem)
@@ -220,6 +230,11 @@ def run(problem: MacroProblem, snapshot_times=(), store_trajectory: bool = False
     for n in range(1, n_steps + 1):
         state = step(state, problem)
         energies[n] = energy(state)
+        if not np.isfinite(energies[n]):
+            raise ConvergenceError(
+                f"energy is not finite at step {n} (t={n * problem.tau:g}); "
+                "the scheme blew up"
+            )
         norms[n] = l2_norm(state)
         if traj is not None:
             traj.append(state.y.copy())
@@ -271,7 +286,9 @@ def volterra_reference(problem: MacroProblem, tau: float | None = None) -> np.nd
     decay = np.exp(-lam * tau)
     unit_mass = (a_k / lam) * (1.0 - decay) if a_k.size else np.zeros(0)
     beta = float(unit_mass.sum())
-    lhs = ((1.0 + r + sig * beta) * ops.mass + sig * tau * ops.stiffness).tocsr()
+    solve_lhs = solvers.factorize(
+        (1.0 + r + sig * beta) * ops.mass + sig * tau * ops.stiffness, ops.tol
+    )
 
     for n in range(n_steps):
         hist = np.zeros(n_dofs)
@@ -284,7 +301,7 @@ def volterra_reference(problem: MacroProblem, tau: float | None = None) -> np.nd
         rhs = (1.0 + r + sig * beta) * (ops.mass @ y)
         rhs -= (1.0 - sig) * tau * (ops.stiffness @ y)
         rhs -= tau * (ops.mass @ hist)
-        y_next = solvers.solve_spd(lhs, rhs, tol=ops.tol)
+        y_next = solve_lhs(rhs)
         increments[n] = y_next - y
         traj[n + 1] = y_next
         y = y_next

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from homogmem import cell, fem, mesh as msh
+from homogmem import cell, fem, mesh as msh, solvers
 
 
 def solve_tensor(geom, h, n_arc=128):
@@ -52,6 +52,24 @@ class TestCorrectors:
         b = cell.solve_corrector(coarse_cell_mesh, ref_geom, 1)
         assert np.abs(a.theta - b.theta).max() <= 1e-9
         assert a.residual <= 1e-10
+
+    def test_both_directions_share_one_factorisation(self, coarse_cell_mesh,
+                                                     ref_geom, monkeypatch):
+        calls = []
+        factorize = solvers.factorize
+
+        def counting(a, tol):
+            calls.append(a.shape)
+            return factorize(a, tol)
+
+        monkeypatch.setattr(solvers, "factorize", counting)
+        both = cell.solve_correctors(coarse_cell_mesh, ref_geom)
+        assert len(calls) == 1
+        for comp in both.components:
+            alone = cell.solve_corrector(coarse_cell_mesh, ref_geom, comp.direction)
+            np.testing.assert_array_equal(comp.theta, alone.theta)
+            assert comp.multiplier == alone.multiplier
+        assert len(calls) == 3
 
     def test_requires_periodic_pairing(self, ref_geom):
         mesh = msh.build_cell_mesh(ref_geom, 1.0 / 24, n_arc=64)

@@ -261,6 +261,36 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert cli.main(["tensor", "--config", str(config), "--out", str(out)]) == 3
 
+    def test_blow_up_exits_3_without_summary(self, pipeline_run, tmp_path):
+        # explicit Euler far beyond its step limit overflows within 200 steps
+        config, out = pipeline_run
+        out2 = tmp_path / "blowup"
+        with pytest.warns(UserWarning):
+            rc = cli.main([
+                "solve", "--config", str(config), "--out", str(out2),
+                "--set", f'macro.tensor_path="{out / "tensor.json"}"',
+                "--set", f'macro.kernel_path="{out / "kernel.json"}"',
+                "--set", "macro.sigma=0.0", "--set", "macro.tau=0.01",
+                "--set", "macro.t_end=2.0", "--set", "macro.snapshot_times=[0.0]",
+            ])
+        assert rc == 3
+        assert not (out2 / "summary.json").exists()
+
+    def test_t_end_not_a_multiple_of_tau_exits_2(self, pipeline_run, tmp_path,
+                                                  capsys):
+        config, out = pipeline_run
+        out2 = tmp_path / "ragged"
+        rc = cli.main([
+            "solve", "--config", str(config), "--out", str(out2),
+            "--set", f'macro.tensor_path="{out / "tensor.json"}"',
+            "--set", f'macro.kernel_path="{out / "kernel.json"}"',
+            "--set", "macro.t_end=0.001", "--set", "macro.tau=3e-4",
+            "--set", "macro.snapshot_times=[0.0]",
+        ])
+        assert rc == 2
+        assert "whole number of steps" in capsys.readouterr().err
+        assert not (out2 / "summary.json").exists()
+
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit):
             cli.main([])

@@ -1,7 +1,6 @@
 """P1 assembly against hand-computed elements and algebraic identities."""
 import numpy as np
 import pytest
-import scipy.io
 import scipy.sparse as sp
 
 from homogmem import fem, mesh as msh
@@ -201,12 +200,3 @@ class TestConstraints:
         with pytest.raises(ValueError):
             fem.apply_constraints(sp.eye(5, format="csr"), np.zeros(5), mesh)
 
-
-class TestExport:
-    def test_matrix_market_roundtrip(self, tmp_path):
-        mesh = msh.build_unit_square_mesh(3)
-        k = fem.assemble_stiffness(mesh, 1.0)
-        path = tmp_path / "k.mtx"
-        fem.export_matrix_market(k, path)
-        back = scipy.io.mmread(path)
-        assert abs(back.tocsr() - k).max() < 1e-15

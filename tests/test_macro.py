@@ -152,6 +152,35 @@ class TestEnergy:
         )
 
 
+    @pytest.mark.parametrize("sigma", [1.0, 0.5])
+    def test_carried_energy_matches_dense_formula(self, sigma):
+        # the per-term quadratics are updated from each increment, not
+        # recomputed; 200 steps (the energy falls ~400x) must stay on the
+        # dense y'Ky + sum_k a_k w_k'Mw_k at every level
+        mesh = msh.build_unit_square_mesh(8)
+        tensor = np.array([[1.2, 0.2], [0.2, 0.9]])
+        amps = np.array([30.0, 5.0, 1.0])
+        kernel = make_kernel(amps, [50.0, 200.0, 900.0], r=0.1)
+
+        def front_u0(x1, x2):
+            return (4.0 / (1.0 + np.exp(-100.0 * (x1 - 0.5))) * x1 * (1.0 - x1)
+                    * np.sin(np.pi * x2))
+
+        problem = macro.MacroProblem(
+            mesh=mesh, tensor=tensor, kernel=kernel, u0=front_u0,
+            tau=1e-3, t_end=0.2, sigma=sigma,
+        )
+        k_arr, m_arr, _ = reduced_operators(mesh, tensor)
+        state = macro.init_state(problem)
+        for _ in range(problem.n_steps):
+            state = macro.step(state, problem)
+            dense = state.y @ k_arr @ state.y + sum(
+                a * (wk @ m_arr @ wk) for a, wk in zip(amps, state.w)
+            )
+            assert macro.energy(state) == pytest.approx(dense, rel=1e-12)
+        assert state.n == 200
+
+
 class TestInitialCondition:
     def test_projection_reproduces_grid_functions(self):
         # if u0 already lies in the P1 space the projection must return its

@@ -1,4 +1,4 @@
-"""Iterative solvers and eigensolver against factorization/analytic oracles."""
+"""Direct solves and eigensolver against dense/analytic oracles."""
 import numpy as np
 import pytest
 import scipy.linalg
@@ -44,22 +44,45 @@ class TestSolveSpd:
             x = solvers.solve_spd(k, b, tol=tol)
             assert np.linalg.norm(b - k @ x) <= tol * np.linalg.norm(b)
 
-    def test_iteration_cap_raises(self):
-        k, _ = laplacian_system(12)
-        b = np.ones(k.shape[0])
-        with pytest.raises(ConvergenceError) as err:
-            solvers.solve_spd(k, b, tol=1e-14, maxiter=3)
-        assert err.value.residual is not None
-
-    def test_indefinite_matrix_detected(self):
-        # first search direction p = b hits p'Ap = 1 - 3 + 1 < 0
-        a = sp.diags([1.0, -3.0, 1.0]).tocsr()
+    def test_singular_matrix_raises(self):
+        a = sp.csr_matrix(np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0],
+                                    [0.0, 0.0, 1.0]]))
         with pytest.raises(ConvergenceError):
-            solvers.solve_spd(a, np.array([1.0, 1.0, 1.0]))
+            solvers.solve_spd(a, np.ones(3))
+
+    def test_ill_conditioned_system_raises_with_residual(self):
+        # Hilbert(10) has condition ~1e13: the LU solution is backward
+        # stable, but its relative residual sits far above 1e-14
+        a = sp.csr_matrix(scipy.linalg.hilbert(10))
+        with pytest.raises(ConvergenceError) as err:
+            solvers.solve_spd(a, np.ones(10), tol=1e-14)
+        assert err.value.residual is not None
+        assert err.value.residual > 1e-14
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rhs_raises(self, bad):
+        k, _ = laplacian_system(4)
+        b = np.ones(k.shape[0])
+        b[3] = bad
+        with pytest.raises(ConvergenceError):
+            solvers.solve_spd(k, b)
+
+    def test_factor_is_reused_across_right_hand_sides(self):
+        k, _ = laplacian_system(10)
+        solve = solvers.factorize(k, tol=1e-12)
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            b = rng.standard_normal(k.shape[0])
+            np.testing.assert_allclose(solve(b), np.linalg.solve(k.toarray(), b),
+                                       atol=1e-9)
+        with pytest.raises(ValueError):
+            solve(np.ones(k.shape[0] + 1))
 
     def test_shape_checks(self):
         with pytest.raises(ValueError):
             solvers.solve_spd(sp.eye(3, format="csr"), np.zeros(4))
+        with pytest.raises(ValueError):
+            solvers.factorize(sp.csr_matrix(np.ones((2, 3))))
 
     def test_saddle_path_matches_dense(self):
         mesh = msh.periodic_pairs(msh.build_unit_square_mesh(6, label=msh.Y1))
@@ -68,7 +91,7 @@ class TestSolveSpd:
         b = b - b.mean()  # compatible load for the singular operator
         k_red, b_red, _ = fem.apply_constraints(k, b, mesh, periodic=True,
                                                 zero_mean=True)
-        x = solvers.solve_spd(k_red, b_red, tol=1e-11, saddle=True)
+        x = solvers.solve_spd(k_red, b_red, tol=1e-11)
         ref = np.linalg.solve(k_red.toarray(), b_red)
         np.testing.assert_allclose(x, ref, atol=1e-8)
 
