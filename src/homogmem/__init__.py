@@ -13,7 +13,6 @@ from .cell import (  # noqa: F401
     CorrectorSolution,
     EffectiveTensor,
     effective_tensor,
-    solve_corrector,
     solve_correctors,
 )
 from .errors import (  # noqa: F401

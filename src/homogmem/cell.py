@@ -15,6 +15,9 @@ import numpy as np
 from . import fem, mesh as msh, solvers
 from .mesh import CellGeometry, TriMesh
 
+# relative residual every corrector solve must meet
+_SOLVER_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class CorrectorComponent:
@@ -65,54 +68,34 @@ def _y1_submesh(cell: TriMesh) -> TriMesh:
     return sub
 
 
-def _factor_corrector_system(y1: TriMesh, geom: CellGeometry, tol: float):
-    """Bordered zero-mean corrector matrix (shared by both directions), its
-    dof map, and a solve with its SuperLU factor."""
-    a = fem.assemble_stiffness(y1, geom.d1)
-    a_red, _, dofmap = fem.apply_constraints(
-        a, np.zeros(y1.n_vertices), y1, periodic=True, zero_mean=True
-    )
-    return a_red, dofmap, solvers.factorize(a_red, tol)
-
-
-def _corrector(y1: TriMesh, geom: CellGeometry, direction: int,
-               system) -> CorrectorComponent:
-    a_red, dofmap, solve = system
-    b_red = dofmap.reduce(fem.assemble_corrector_rhs(y1, direction, coeff=geom.d1))
-    x = solve(b_red)
-    resid = float(
-        np.linalg.norm(b_red - a_red @ x) / max(np.linalg.norm(b_red), 1e-300)
-    )
-    return CorrectorComponent(
-        direction=direction,
-        theta=dofmap.expand(x[: dofmap.n_dofs]),
-        multiplier=dofmap.multiplier(x),
-        residual=resid,
-    )
-
-
-def solve_corrector(cell: TriMesh, geom: CellGeometry, direction: int,
-                    tol: float = 1e-10) -> CorrectorComponent:
-    """Solve the periodic cell problem for one unit-gradient direction.
+def solve_correctors(cell: TriMesh, geom: CellGeometry) -> CorrectorSolution:
+    """Solve the periodic cell problem for both unit-gradient directions.
 
     ``cell`` is the full cell mesh (Y1/Y2 labeled, periodic pairs filled) or
-    an already-restricted Y1 mesh.  Returns nodal values on the Y1 submesh,
-    the zero-mean multiplier, and the achieved relative residual.
+    an already-restricted Y1 mesh.  The bordered zero-mean matrix is shared
+    by both directions and factorised once; each component holds nodal
+    values on the Y1 submesh, the zero-mean multiplier, and the achieved
+    relative residual.
     """
     y1 = _y1_submesh(cell)
-    return _corrector(y1, geom, direction, _factor_corrector_system(y1, geom, tol))
-
-
-def solve_correctors(cell: TriMesh, geom: CellGeometry,
-                     tol: float = 1e-10) -> CorrectorSolution:
-    """Both correctors on the shared Y1 submesh, from one factorisation."""
-    y1 = _y1_submesh(cell)
-    system = _factor_corrector_system(y1, geom, tol)
-    return CorrectorSolution(
-        mesh=y1,
-        components=(_corrector(y1, geom, 1, system),
-                    _corrector(y1, geom, 2, system)),
+    a_red, dofmap = fem.apply_constraints(
+        y1, fem.assemble_stiffness(y1, geom.d1), periodic=True, zero_mean=True
     )
+    solve = solvers.factorize(a_red, _SOLVER_TOL)
+    components = []
+    for direction in (1, 2):
+        b_red = dofmap.reduce(fem.assemble_corrector_rhs(y1, direction, coeff=geom.d1))
+        x = solve(b_red)
+        resid = float(
+            np.linalg.norm(b_red - a_red @ x) / max(np.linalg.norm(b_red), 1e-300)
+        )
+        components.append(CorrectorComponent(
+            direction=direction,
+            theta=dofmap.expand(x[: dofmap.n_dofs]),
+            multiplier=dofmap.multiplier(x),
+            residual=resid,
+        ))
+    return CorrectorSolution(mesh=y1, components=tuple(components))
 
 
 def effective_tensor(correctors: CorrectorSolution, geom: CellGeometry) -> EffectiveTensor:

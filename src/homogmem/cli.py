@@ -152,31 +152,30 @@ def _resolve_u0(selector):
     raise ValueError(f"unsupported u0 selector {selector!r}")
 
 
-def _would_write(command: str, config: dict) -> list[str]:
-    if command == "tensor":
+def _snapshot_stem(t: float, tau: float) -> str:
+    """File stem of the snapshot at time t: its time level, zero-padded."""
+    return f"snapshot_{int(round(t / tau)):06d}"
+
+
+def _would_write(stage: str, config: dict) -> list[str]:
+    """Artifact names that ``stage`` writes into the output directory."""
+    if stage == "tensor":
         files = ["tensor.json"]
         if config["output"]["write_correctors"]:
             files += ["corrector_1.csv", "corrector_2.csv"]
         return files
-    if command == "kernel":
+    if stage == "kernel":
         return ["kernel.json", "kernel_samples.csv"]
-    if command == "solve":
-        files = ["summary.json", "energy.csv"]
-        fmts = config["output"]["formats"]
-        for t_req in config["macro"]["snapshot_times"]:
-            lvl = int(round(float(t_req) / float(config["macro"]["tau"])))
-            stem = f"snapshot_{lvl:06d}"
-            files += [f"{stem}.{ext}" for ext in ("vtk", "csv") if ext in fmts]
-        return files
-    raise ValueError(f"unknown command {command!r}")
+    files = ["summary.json", "energy.csv"]
+    fmts = config["output"]["formats"]
+    for t_req in config["macro"]["snapshot_times"]:
+        stem = _snapshot_stem(float(t_req), float(config["macro"]["tau"]))
+        files += [f"{stem}.{ext}" for ext in ("vtk", "csv") if ext in fmts]
+    return files
 
 
-def _check_output_dir(outdir: Path, command: str, config: dict, force: bool):
-    if command == "pipeline":
-        names = (_would_write("tensor", config) + _would_write("kernel", config)
-                 + _would_write("solve", config))
-    else:
-        names = _would_write(command, config)
+def _check_output_dir(outdir: Path, stages: list[str], config: dict, force: bool):
+    names = [n for stage in stages for n in _would_write(stage, config)]
     clashes = [n for n in names if (outdir / n).exists()]
     if clashes and not force:
         raise FileExistsError(
@@ -185,22 +184,20 @@ def _check_output_dir(outdir: Path, command: str, config: dict, force: bool):
     outdir.mkdir(parents=True, exist_ok=True)
 
 
-def _update_meta(outdir: Path, stage: str, wall: float, threads) -> None:
+def _update_meta(outdir: Path, stage: str, wall: float) -> None:
+    """Record the stage in meta.json; of an earlier meta.json in the same
+    directory only the other stages' entries are kept."""
     meta_path = outdir / "meta.json"
-    meta = {}
+    stages = {}
     if meta_path.exists():
         with open(meta_path) as fh:
-            meta = json.load(fh)
-    meta.setdefault("tool", "homogmem")
-    meta["version"] = __version__
-    meta["threads"] = threads
-    meta.setdefault("stages", {})
-    meta["stages"][stage] = {
+            stages = json.load(fh).get("stages", {})
+    stages[stage] = {
         "wall_time_s": wall,
         "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    with open(meta_path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+    _dump_json({"tool": "homogmem", "version": __version__, "stages": stages},
+               meta_path)
 
 
 def _dump_json(payload: dict, path: Path) -> None:
@@ -305,11 +302,11 @@ def cmd_solve(config: dict, outdir: Path) -> dict:
     )
     fmts = config["output"]["formats"]
     for t_snap, field in result.snapshots:
-        lvl = int(round(t_snap / problem.tau))
+        stem = _snapshot_stem(t_snap, problem.tau)
         if "vtk" in fmts:
-            output.write_vtk(mesh, field, outdir / f"snapshot_{lvl:06d}.vtk")
+            output.write_vtk(mesh, field, outdir / f"{stem}.vtk")
         if "csv" in fmts:
-            output.write_snapshot_csv(mesh, field, outdir / f"snapshot_{lvl:06d}.csv")
+            output.write_snapshot_csv(mesh, field, outdir / f"{stem}.csv")
 
     warnings_list = []
     if problem.conditionally_stable:
@@ -351,25 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--force", action="store_true",
                        help="overwrite existing artifacts")
-        p.add_argument("--threads", type=int, default=None,
-                       help="cap BLAS worker threads")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="dotted-path config override, value parsed as JSON")
     return parser
-
-
-def _limit_threads(threads):
-    if threads is None:
-        return None
-    if threads < 1:
-        raise ValueError(f"--threads must be >= 1, got {threads}")
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limits=threads)
-        return threads
-    except ImportError:
-        return threads
 
 
 def main(argv=None) -> int:
@@ -379,19 +360,17 @@ def main(argv=None) -> int:
         config = load_config(args.config, overrides=args.set)
         if args.out is not None:
             config["output"]["directory"] = args.out
-        threads = _limit_threads(args.threads)
         outdir = Path(config["output"]["directory"])
-        _check_output_dir(outdir, args.command, config, args.force)
-
         stages = (
             ["tensor", "kernel", "solve"] if args.command == "pipeline"
             else [args.command]
         )
+        _check_output_dir(outdir, stages, config, args.force)
         runners = {"tensor": cmd_tensor, "kernel": cmd_kernel, "solve": cmd_solve}
         for stage in stages:
             start = time.perf_counter()
             runners[stage](config, outdir)
-            _update_meta(outdir, stage, time.perf_counter() - start, threads)
+            _update_meta(outdir, stage, time.perf_counter() - start)
     except ConvergenceError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3

@@ -1,14 +1,17 @@
 """P1 finite element assembly on triangle meshes.
 
-Stiffness, mass, and corrector right-hand sides are assembled with exact
-per-element integration (gradients are constant, the mass element is the
-standard area/12 matrix).  Constraint application folds periodic slaves
-onto their masters, eliminates homogeneous Dirichlet rows/columns, and can
-border the system with a discrete zero-mean row for pure-Neumann problems.
+Stiffness, mass, and corrector right-hand sides are assembled over every
+triangle of the mesh they are given (callers pass the Y1 or Y2 submesh)
+with exact per-element integration (gradients are constant, the mass
+element is the standard area/12 matrix).  Constraint application folds
+periodic slaves onto their masters, eliminates homogeneous Dirichlet
+rows/columns, and can border the system with a discrete zero-mean row for
+pure-Neumann problems; it returns a DofMap, which is the one way load
+vectors are reduced onto the constrained system.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,12 +29,11 @@ class DofMap:
     ``vertex_to_dof`` maps every mesh vertex to its retained dof (slaves map
     to the master's dof, Dirichlet vertices to -1).  When a zero-mean row is
     appended, the multiplier occupies index ``n_dofs`` of the bordered
-    system and ``multiplier_index`` is set.
+    system and ``multiplier_index`` is set.  ``reduce`` takes nodal loads
+    onto the system and ``expand`` takes a solution back to the vertices.
     """
 
     vertex_to_dof: np.ndarray
-    dirichlet_vertices: np.ndarray
-    slave_vertices: np.ndarray
     n_dofs: int
     multiplier_index: int | None = None
     multiplier_scale: float = 1.0
@@ -47,16 +49,12 @@ class DofMap:
         full[free] = x[self.vertex_to_dof[free]]
         return full
 
-    def restrict(self, full: np.ndarray) -> np.ndarray:
-        """Values of the retained dofs read off a full vertex vector."""
-        out = np.zeros(self.n_dofs)
-        free = self.vertex_to_dof >= 0
-        out[self.vertex_to_dof[free]] = full[free]
-        return out
-
     def reduce(self, full: np.ndarray) -> np.ndarray:
         """Load vector folded onto the system: slave entries add into their
-        masters, Dirichlet entries drop, the multiplier row (if any) is 0."""
+        masters, Dirichlet entries drop, the multiplier row (if any) is 0.
+
+        This is the transpose of ``expand``, so a load reduced here matches
+        matrices reduced by apply_constraints."""
         free = self.vertex_to_dof >= 0
         return np.bincount(self.vertex_to_dof[free], weights=full[free],
                            minlength=self.n_system)
@@ -83,16 +81,6 @@ def triangle_gradients(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
     return areas, grads
 
 
-def _triangle_mask(mesh: TriMesh, subdomains) -> np.ndarray:
-    if subdomains is None:
-        return np.ones(mesh.n_triangles, dtype=bool)
-    labels = {subdomains} if np.isscalar(subdomains) else set(subdomains)
-    mask = np.isin(mesh.subdomain, list(labels))
-    if not mask.any():
-        raise ValueError(f"no triangles in subdomains {sorted(labels)}")
-    return mask
-
-
 def _coefficient_tensor(coeff) -> np.ndarray:
     """Validate and return the 2x2 SPD diffusion tensor for a scalar/matrix."""
     d = np.asarray(coeff, dtype=float)
@@ -109,10 +97,9 @@ def _coefficient_tensor(coeff) -> np.ndarray:
     return d
 
 
-def _scatter(mesh: TriMesh, mask: np.ndarray, element: np.ndarray) -> sp.csr_matrix:
-    tris = mesh.triangles[mask]
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, 3).ravel()
+def _scatter(mesh: TriMesh, element: np.ndarray) -> sp.csr_matrix:
+    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
+    cols = np.tile(mesh.triangles, 3).ravel()
     a = sp.coo_matrix(
         (element.ravel(), (rows, cols)), shape=(mesh.n_vertices, mesh.n_vertices)
     ).tocsr()
@@ -120,75 +107,46 @@ def _scatter(mesh: TriMesh, mask: np.ndarray, element: np.ndarray) -> sp.csr_mat
     return a
 
 
-def assemble_stiffness(mesh: TriMesh, coeff, subdomains=None) -> sp.csr_matrix:
-    """Stiffness matrix for -div(coeff grad u) over the selected triangles.
+def assemble_stiffness(mesh: TriMesh, coeff) -> sp.csr_matrix:
+    """Stiffness matrix for -div(coeff grad u) over every triangle.
 
-    ``coeff`` is a positive scalar, a symmetric positive-definite 2x2 array,
-    or a dict mapping subdomain label -> scalar/tensor (in which case only
-    the mapped subdomains contribute unless ``subdomains`` narrows further).
+    ``coeff`` is a positive scalar or a symmetric positive-definite 2x2
+    array.
     """
-    if isinstance(coeff, dict):
-        total = None
-        wanted = set(coeff) if subdomains is None else (
-            {subdomains} if np.isscalar(subdomains) else set(subdomains)
-        )
-        for label in sorted(wanted):
-            part = assemble_stiffness(mesh, coeff[label], subdomains=label)
-            total = part if total is None else total + part
-        total.sort_indices()
-        return total
-
     d = _coefficient_tensor(coeff)
-    mask = _triangle_mask(mesh, subdomains)
     areas, grads = triangle_gradients(mesh)
-    g = grads[mask]
-    element = np.einsum("tia,ab,tjb->tij", g, d, g) * areas[mask][:, None, None]
-    return _scatter(mesh, mask, element)
+    element = np.einsum("tia,ab,tjb->tij", grads, d, grads) * areas[:, None, None]
+    return _scatter(mesh, element)
 
 
-def assemble_mass(mesh: TriMesh, subdomains=None) -> sp.csr_matrix:
-    """Consistent P1 mass matrix over the selected triangles."""
-    mask = _triangle_mask(mesh, subdomains)
-    element = mesh.areas[mask][:, None, None] * _MASS_ELEMENT[None]
-    return _scatter(mesh, mask, element)
+def assemble_mass(mesh: TriMesh) -> sp.csr_matrix:
+    """Consistent P1 mass matrix over every triangle."""
+    return _scatter(mesh, mesh.areas[:, None, None] * _MASS_ELEMENT[None])
 
 
-def assemble_corrector_rhs(mesh: TriMesh, direction: int, coeff=1.0,
-                           subdomains=None) -> np.ndarray:
+def assemble_corrector_rhs(mesh: TriMesh, direction: int,
+                           coeff: float = 1.0) -> np.ndarray:
     """Load vector b_j = -sum_T area * coeff * (grad phi_j)_i, i=direction.
 
     This is the right-hand side of the periodic cell problem driven by the
-    unit gradient e_i; ``direction`` is 1 or 2.  ``coeff`` is a positive
-    scalar or a dict mapping subdomain label -> scalar, mirroring
-    :func:`assemble_stiffness`.
+    unit gradient e_i; ``direction`` is 1 or 2 and ``coeff`` is a positive
+    scalar.
     """
     if direction not in (1, 2):
         raise ValueError(f"direction must be 1 or 2, got {direction}")
-    if isinstance(coeff, dict):
-        total = np.zeros(mesh.n_vertices)
-        wanted = set(coeff) if subdomains is None else (
-            {subdomains} if np.isscalar(subdomains) else set(subdomains)
-        )
-        for label in sorted(wanted):
-            total += assemble_corrector_rhs(mesh, direction, coeff[label],
-                                            subdomains=label)
-        return total
     if coeff <= 0.0:
         raise ValueError("coefficient must be positive")
-    mask = _triangle_mask(mesh, subdomains)
     areas, grads = triangle_gradients(mesh)
-    contrib = -coeff * areas[mask][:, None] * grads[mask][:, :, direction - 1]
+    contrib = -coeff * areas[:, None] * grads[:, :, direction - 1]
     b = np.zeros(mesh.n_vertices)
-    np.add.at(b, mesh.triangles[mask].ravel(), contrib.ravel())
+    np.add.at(b, mesh.triangles.ravel(), contrib.ravel())
     return b
 
 
-def integral_weights(mesh: TriMesh, subdomains=None) -> np.ndarray:
-    """Nodal weights w_j = integral of phi_j over the selected triangles."""
-    mask = _triangle_mask(mesh, subdomains)
+def integral_weights(mesh: TriMesh) -> np.ndarray:
+    """Nodal weights w_j = integral of phi_j over the mesh."""
     w = np.zeros(mesh.n_vertices)
-    contrib = np.repeat(mesh.areas[mask] / 3.0, 3)
-    np.add.at(w, mesh.triangles[mask].ravel(), contrib)
+    np.add.at(w, mesh.triangles.ravel(), np.repeat(mesh.areas / 3.0, 3))
     return w
 
 
@@ -205,19 +163,21 @@ def _resolve_masters(pairs: dict[int, int]) -> dict[int, int]:
     return out
 
 
-def apply_constraints(a: sp.spmatrix, b: np.ndarray, mesh: TriMesh,
+def apply_constraints(mesh: TriMesh, *matrices: sp.spmatrix,
                       dirichlet_tags=(), periodic: bool = False,
                       zero_mean: bool = False):
-    """Reduce (a, b) by Dirichlet/periodic/zero-mean constraints.
+    """Reduce each of ``matrices`` by one set of Dirichlet/periodic/zero-mean
+    constraints.
 
     Homogeneous Dirichlet vertices (on boundary edges carrying one of
     ``dirichlet_tags``, given by name) are eliminated; periodic slave rows
-    and columns are folded onto their masters; ``zero_mean`` borders the
-    reduced system with the row of basis integrals and one Lagrange
-    multiplier.  Returns (a_reduced, b_reduced, DofMap).
+    and columns are folded onto their masters; ``zero_mean`` borders every
+    reduced matrix with the row of basis integrals and one Lagrange
+    multiplier.  Returns the reduced matrices in order, then the DofMap
+    whose ``reduce`` folds load vectors onto the same system.
     """
     nv = mesh.n_vertices
-    if a.shape != (nv, nv):
+    if any(a.shape != (nv, nv) for a in matrices):
         raise ValueError("matrix size does not match the mesh")
 
     dirichlet = np.array([], dtype=np.int64)
@@ -241,7 +201,6 @@ def apply_constraints(a: sp.spmatrix, b: np.ndarray, mesh: TriMesh,
         if overlap:
             raise ValueError(f"vertices both Dirichlet and periodic slaves: {sorted(overlap)}")
 
-    slaves = np.fromiter(pairs.keys(), dtype=np.int64, count=len(pairs))
     rep = np.arange(nv, dtype=np.int64)
     for s, m in pairs.items():
         rep[s] = m
@@ -257,38 +216,27 @@ def apply_constraints(a: sp.spmatrix, b: np.ndarray, mesh: TriMesh,
     dof_of[keep] = np.arange(int(keep.sum()))
     vertex_to_dof = np.where(is_dirichlet, -1, dof_of[rep])
     n_dofs = int(keep.sum())
+    dofmap = DofMap(vertex_to_dof=vertex_to_dof, n_dofs=n_dofs)
 
     rows = np.nonzero(vertex_to_dof >= 0)[0]
     proj = sp.coo_matrix(
         (np.ones(rows.size), (rows, vertex_to_dof[rows])), shape=(nv, n_dofs)
     ).tocsr()
-    a_red = (proj.T @ a @ proj).tocsr()
-    b_red = proj.T @ np.asarray(b, dtype=float)
+    reduced = [(proj.T @ a @ proj).tocsr() for a in matrices]
 
-    multiplier_index = None
-    scale = 1.0
     if zero_mean:
-        c = proj.T @ integral_weights(mesh)
+        c = dofmap.reduce(integral_weights(mesh))
         scale = float(np.linalg.norm(c))
         if scale == 0.0:
             raise ValueError("zero-mean row vanishes; mesh has no measure")
         # unit border column keeps the saddle system well scaled; the
         # multiplier is rescaled back on readout (A x + (c/s)(s mu) = b)
         c = c / scale
-        a_red = sp.bmat(
-            [[a_red, c[:, None]], [c[None, :], None]], format="csr"
-        )
-        b_red = np.concatenate([b_red, [0.0]])
-        multiplier_index = n_dofs
+        reduced = [sp.bmat([[a, c[:, None]], [c[None, :], None]], format="csr")
+                   for a in reduced]
+        dofmap = replace(dofmap, multiplier_index=n_dofs, multiplier_scale=scale)
 
-    a_red.sort_indices()
-    dofmap = DofMap(
-        vertex_to_dof=vertex_to_dof,
-        dirichlet_vertices=dirichlet,
-        slave_vertices=np.sort(slaves),
-        n_dofs=n_dofs,
-        multiplier_index=multiplier_index,
-        multiplier_scale=scale,
-    )
-    return a_red, b_red, dofmap
+    for a in reduced:
+        a.sort_indices()
+    return (*reduced, dofmap)
 

@@ -52,7 +52,7 @@ class KernelApproximation:
 
 
 def build_kernel(cell: TriMesh, geom: CellGeometry | None, m: int,
-                 d2: float | None = None, tol: float = 1e-8) -> KernelApproximation:
+                 d2: float | None = None) -> KernelApproximation:
     """Assemble the raw m-term kernel from the inclusion eigenproblem.
 
     ``cell`` may be a full labeled cell mesh or one already restricted to
@@ -90,19 +90,9 @@ def build_kernel(cell: TriMesh, geom: CellGeometry | None, m: int,
     tags = tuple(
         sorted({msh.BOUNDARY_NAMES[int(t)] for t in np.unique(y2.boundary_tags)})
     )
-    k_red, _, dofmap = fem.apply_constraints(
-        stiff, np.zeros(y2.n_vertices), y2, dirichlet_tags=tags
-    )
-    m_red, _, _ = fem.apply_constraints(
-        mass, np.zeros(y2.n_vertices), y2, dirichlet_tags=tags
-    )
-    pairs = solvers.smallest_eigenpairs(k_red, m_red, m, tol=tol)
-
-    weights = fem.integral_weights(y2)
-    free = dofmap.vertex_to_dof >= 0
-    w_free = np.zeros(dofmap.n_dofs)
-    w_free[dofmap.vertex_to_dof[free]] = weights[free]
-    means = pairs.vectors.T @ w_free
+    k_red, m_red, dofmap = fem.apply_constraints(y2, stiff, mass, dirichlet_tags=tags)
+    pairs = solvers.smallest_eigenpairs(k_red, m_red, m)
+    means = pairs.vectors.T @ dofmap.reduce(fem.integral_weights(y2))
 
     rates = pairs.values
     amplitudes = prefactor * means**2 * rates

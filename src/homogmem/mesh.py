@@ -8,7 +8,6 @@ opposite sides so that periodic pairing succeeds by coordinate matching.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -32,9 +31,6 @@ BOUNDARY_NAMES = {OUTER: "outer", INCLUSION: "inclusion"}
 BOUNDARY_CODES = {v: k for k, v in BOUNDARY_NAMES.items()}
 
 PAIRING_TOL = 1e-9
-
-MESH_FORMAT_NAME = "homogmem-mesh"
-MESH_FORMAT_VERSION = 1
 
 
 def _signed_areas(p: np.ndarray) -> np.ndarray:
@@ -541,52 +537,6 @@ def validate_mesh(mesh: TriMesh, expected_measure: float | None = None,
             raise ValueError(f"pair {s}->{m} offset {delta} is not a unit translation")
         if not np.isin(snapped, [-1.0, 0.0, 1.0]).all():
             raise ValueError(f"pair {s}->{m} offset {delta} exceeds one cell")
-
-
-def mesh_to_json(mesh: TriMesh) -> dict:
-    """Native JSON-serializable mesh representation."""
-    return {
-        "format": MESH_FORMAT_NAME,
-        "version": MESH_FORMAT_VERSION,
-        "vertices": mesh.vertices.tolist(),
-        "triangles": mesh.triangles.tolist(),
-        "subdomain": [SUBDOMAIN_NAMES[int(s)] for s in mesh.subdomain],
-        "boundary_edges": mesh.boundary_edges.tolist(),
-        "boundary_tags": [BOUNDARY_NAMES[int(t)] for t in mesh.boundary_tags],
-        "periodic_pairs": {str(s): int(m) for s, m in mesh.periodic_pairs.items()},
-    }
-
-
-def mesh_from_json(data: dict) -> TriMesh:
-    if data.get("format") != MESH_FORMAT_NAME:
-        raise MeshFormatError("not a native mesh document")
-    if data.get("version") != MESH_FORMAT_VERSION:
-        raise MeshFormatError(f"unsupported mesh document version {data.get('version')}")
-    try:
-        return TriMesh(
-            vertices=np.asarray(data["vertices"], dtype=float),
-            triangles=np.asarray(data["triangles"], dtype=np.int64),
-            subdomain=np.asarray(
-                [SUBDOMAIN_CODES[s] for s in data["subdomain"]], dtype=int
-            ),
-            boundary_edges=np.asarray(data["boundary_edges"], dtype=np.int64),
-            boundary_tags=np.asarray(
-                [BOUNDARY_CODES[t] for t in data["boundary_tags"]], dtype=int
-            ),
-            periodic_pairs={int(s): int(m) for s, m in data["periodic_pairs"].items()},
-        )
-    except KeyError as err:
-        raise MeshFormatError(f"mesh document missing field {err}") from err
-
-
-def save_mesh_json(mesh: TriMesh, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(mesh_to_json(mesh), fh)
-
-
-def load_mesh_json(path) -> TriMesh:
-    with open(path) as fh:
-        return mesh_from_json(json.load(fh))
 
 
 _MSH_LINE = 1

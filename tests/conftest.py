@@ -53,9 +53,3 @@ def raw_kernel_100(inclusion_mesh_fine):
 @pytest.fixture(scope="session")
 def filtered_kernel(raw_kernel_100):
     return kernel.filter_kernel(raw_kernel_100, 1e-5)
-
-
-def front_u0(x1, x2):
-    """Front-like initial condition used by the solve stage's default."""
-    return (4.0 / (1.0 + np.exp(-100.0 * (x1 - 0.5)))
-            * x1 * (1.0 - x1) * np.sin(np.pi * x2))

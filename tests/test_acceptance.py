@@ -16,7 +16,7 @@ import pytest
 from conftest import (
     REF_CHI0, REF_EIGENVALUES, REF_GEOM, REF_R0, REF_R31, REF_RHO, REF_TENSOR,
 )
-from homogmem import cell, fem, kernel as ker, macro, mesh as msh
+from homogmem import cell, cli, kernel as ker, macro, mesh as msh
 
 
 def report(num: int, label: str, ok: bool, detail: str) -> str:
@@ -25,9 +25,7 @@ def report(num: int, label: str, ok: bool, detail: str) -> str:
     return line
 
 
-def front_u0(x1, x2):
-    return (4.0 / (1.0 + np.exp(-100.0 * (x1 - 0.5)))
-            * x1 * (1.0 - x1) * np.sin(np.pi * x2))
+front_u0 = cli._resolve_u0("paper")
 
 
 def m_norm(vec, mass):

@@ -1,5 +1,6 @@
 """CLI pipeline: config handling, artifacts, schemas, exit codes."""
 import json
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -149,6 +150,16 @@ class TestPipelineArtifacts:
         assert rc == 0
 
 
+def test_every_shipped_schema_has_an_artifact(pipeline_run):
+    _, out = pipeline_run
+    schemas = resources.files("homogmem") / "schemas"
+    names = [f.name.removesuffix(".schema.json") for f in schemas.iterdir()
+             if f.name.endswith(".schema.json")]
+    assert names
+    for name in names:
+        assert (out / f"{name}.json").exists(), name
+
+
 class TestStages:
     def test_tensor_stage_alone(self, tmp_path):
         config = write_config(tmp_path)
@@ -160,6 +171,21 @@ class TestStages:
         d = np.asarray(payload["d"])
         assert d.shape == (2, 2) and d[0, 1] == d[1, 0]
         assert max(payload["residuals"]) <= 1e-9
+
+    def test_rerun_keeps_stages_and_drops_stale_meta_keys(self, tmp_path):
+        jsonschema = pytest.importorskip("jsonschema")
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        # a meta.json from an earlier version with a key the schema lacks
+        (out / "meta.json").write_text(json.dumps({
+            "tool": "homogmem", "version": "0.0.1", "threads": None,
+            "stages": {"kernel": {"wall_time_s": 1.0, "finished": "earlier"}},
+        }))
+        assert cli.main(["tensor", "--config", str(config), "--out", str(out)]) == 0
+        meta = json.loads((out / "meta.json").read_text())
+        jsonschema.validate(meta, load_schema("meta"))
+        assert set(meta["stages"]) == {"kernel", "tensor"}
 
     def test_corrector_export(self, tmp_path):
         config = write_config(tmp_path)
@@ -239,8 +265,6 @@ class TestExitCodes:
                          "--set", 'mesh.mode="hexes"']) == 2
         assert cli.main(["kernel", "--config", str(config), "--out", str(out),
                          "--set", 'kernel.mesh.mode="hexes"']) == 2
-        assert cli.main(["tensor", "--config", str(config), "--out", str(out),
-                         "--threads", "0"]) == 2
 
     def test_missing_inputs_exit_2(self, tmp_path):
         config = write_config(tmp_path)
@@ -262,10 +286,12 @@ class TestExitCodes:
         assert cli.main(["tensor", "--config", str(config), "--out", str(out)]) == 3
 
     def test_blow_up_exits_3_without_summary(self, pipeline_run, tmp_path):
-        # explicit Euler far beyond its step limit overflows within 200 steps
+        # explicit Euler far beyond its step limit overflows within 200 steps;
+        # the exit code reports it, with no numpy overflow warning before it
         config, out = pipeline_run
         out2 = tmp_path / "blowup"
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             rc = cli.main([
                 "solve", "--config", str(config), "--out", str(out2),
                 "--set", f'macro.tensor_path="{out / "tensor.json"}"',

@@ -65,37 +65,15 @@ class TestAssemblyIdentities:
                                    atol=1e-15)
         assert w.sum() == pytest.approx(1.0, rel=1e-13)
 
-    def test_subdomain_restriction_partitions_assembly(self, coarse_cell_mesh):
-        full = fem.assemble_stiffness(coarse_cell_mesh, 2.0)
-        y1 = fem.assemble_stiffness(coarse_cell_mesh, 2.0, subdomains=msh.Y1)
-        y2 = fem.assemble_stiffness(coarse_cell_mesh, 2.0, subdomains=msh.Y2)
-        assert abs(full - (y1 + y2)).max() < 1e-14
-
-    def test_dict_coefficient_matches_sum_of_parts(self, coarse_cell_mesh):
-        mixed = fem.assemble_stiffness(coarse_cell_mesh,
-                                       {msh.Y1: 1.0, msh.Y2: 5.0})
-        parts = (fem.assemble_stiffness(coarse_cell_mesh, 1.0, subdomains=msh.Y1)
-                 + fem.assemble_stiffness(coarse_cell_mesh, 5.0, subdomains=msh.Y2))
-        assert abs(mixed - parts).max() < 1e-14
-
     def test_corrector_rhs_is_minus_stiffness_times_coordinate(
             self, coarse_cell_mesh):
         # b_j(e_i) = -sum_T area d (grad phi_j)_i = -(K x_i)_j exactly
-        k = fem.assemble_stiffness(coarse_cell_mesh, 1.3, subdomains=msh.Y1)
+        y1, _ = msh.submesh(coarse_cell_mesh, msh.Y1)
+        k = fem.assemble_stiffness(y1, 1.3)
         for direction in (1, 2):
-            b = fem.assemble_corrector_rhs(coarse_cell_mesh, direction,
-                                           coeff=1.3, subdomains=msh.Y1)
-            ref = -(k @ coarse_cell_mesh.vertices[:, direction - 1])
+            b = fem.assemble_corrector_rhs(y1, direction, coeff=1.3)
+            ref = -(k @ y1.vertices[:, direction - 1])
             np.testing.assert_allclose(b, ref, atol=1e-12)
-
-    def test_corrector_rhs_dict_coefficient(self, coarse_cell_mesh):
-        b = fem.assemble_corrector_rhs(coarse_cell_mesh, 1,
-                                       coeff={msh.Y1: 1.0, msh.Y2: 4.0})
-        parts = (fem.assemble_corrector_rhs(coarse_cell_mesh, 1, 1.0,
-                                            subdomains=msh.Y1)
-                 + fem.assemble_corrector_rhs(coarse_cell_mesh, 1, 4.0,
-                                              subdomains=msh.Y2))
-        np.testing.assert_allclose(b, parts, atol=1e-15)
 
     def test_invalid_inputs_rejected(self, coarse_cell_mesh):
         with pytest.raises(ValueError):
@@ -112,8 +90,6 @@ class TestAssemblyIdentities:
             fem.assemble_corrector_rhs(coarse_cell_mesh, 3)
         with pytest.raises(ValueError):
             fem.assemble_corrector_rhs(coarse_cell_mesh, 1, coeff=0.0)
-        with pytest.raises(ValueError):
-            fem.assemble_stiffness(coarse_cell_mesh, 1.0, subdomains=9)
 
 
 class TestConstraints:
@@ -121,10 +97,8 @@ class TestConstraints:
         mesh = msh.build_unit_square_mesh(8)
         k = fem.assemble_stiffness(mesh, 1.0)
         b = fem.integral_weights(mesh)  # load f = 1
-        k_red, b_red, dofmap = fem.apply_constraints(
-            k, b, mesh, dirichlet_tags=("outer",)
-        )
-        x = np.linalg.solve(k_red.toarray(), b_red)
+        k_red, dofmap = fem.apply_constraints(mesh, k, dirichlet_tags=("outer",))
+        x = np.linalg.solve(k_red.toarray(), dofmap.reduce(b))
         full = dofmap.expand(x)
         # dense reference: delete rows/cols by hand
         boundary = np.unique(mesh.boundary_edges)
@@ -136,9 +110,7 @@ class TestConstraints:
 
     def test_periodic_folding_reduces_size(self, coarse_cell_mesh):
         k = fem.assemble_stiffness(coarse_cell_mesh, 1.0)
-        b = np.zeros(coarse_cell_mesh.n_vertices)
-        k_red, _, dofmap = fem.apply_constraints(k, b, coarse_cell_mesh,
-                                                 periodic=True)
+        k_red, dofmap = fem.apply_constraints(coarse_cell_mesh, k, periodic=True)
         n_slaves = len(coarse_cell_mesh.periodic_pairs)
         assert dofmap.n_dofs == coarse_cell_mesh.n_vertices - n_slaves
         assert k_red.shape == (dofmap.n_dofs, dofmap.n_dofs)
@@ -150,53 +122,57 @@ class TestConstraints:
         mesh = msh.build_unit_square_mesh(4, label=msh.Y1)
         mesh = msh.periodic_pairs(mesh)
         k = fem.assemble_stiffness(mesh, 1.0)
-        b = np.zeros(mesh.n_vertices)
-        k_red, b_red, dofmap = fem.apply_constraints(
-            k, b, mesh, periodic=True, zero_mean=True
+        m = fem.assemble_mass(mesh)
+        k_red, m_red, dofmap = fem.apply_constraints(
+            mesh, k, m, periodic=True, zero_mean=True
         )
         assert dofmap.multiplier_index == dofmap.n_dofs
         assert k_red.shape == (dofmap.n_dofs + 1, dofmap.n_dofs + 1)
         border = k_red.toarray()[-1, :-1]
         assert np.linalg.norm(border) == pytest.approx(1.0, rel=1e-12)
-        assert b_red[-1] == 0.0
+        # every matrix reduced in one call carries the same border
+        np.testing.assert_array_equal(m_red.toarray()[-1, :-1], border)
+        assert dofmap.reduce(fem.integral_weights(mesh))[-1] == 0.0
         # undoing the normalization recovers the patch integrals (sum = |Y|)
         assert border.sum() * dofmap.multiplier_scale == pytest.approx(1.0)
 
     def test_expand_restrict_roundtrip(self, coarse_cell_mesh):
         k = fem.assemble_stiffness(coarse_cell_mesh, 1.0)
-        b = np.zeros(coarse_cell_mesh.n_vertices)
-        _, _, dofmap = fem.apply_constraints(k, b, coarse_cell_mesh,
-                                             periodic=True)
+        _, dofmap = fem.apply_constraints(coarse_cell_mesh, k, periodic=True)
         x = np.sin(np.arange(dofmap.n_dofs))
-        assert np.array_equal(dofmap.restrict(dofmap.expand(x)), x)
         full = dofmap.expand(x)
+        free = dofmap.vertex_to_dof >= 0
+        back = np.empty(dofmap.n_dofs)
+        back[dofmap.vertex_to_dof[free]] = full[free]
+        assert np.array_equal(back, x)
         for s, m in coarse_cell_mesh.periodic_pairs.items():
             assert full[s] == full[m]
+        # reduce is the transpose of expand: f . expand(x) == reduce(f) . x
+        f = np.cos(np.arange(coarse_cell_mesh.n_vertices))
+        assert f @ full == pytest.approx(dofmap.reduce(f) @ x, rel=1e-12)
 
     def test_multiplier_requires_border(self, coarse_cell_mesh):
         k = fem.assemble_stiffness(coarse_cell_mesh, 1.0)
-        _, _, dofmap = fem.apply_constraints(
-            k, np.zeros(coarse_cell_mesh.n_vertices), coarse_cell_mesh,
-            periodic=True,
-        )
+        _, dofmap = fem.apply_constraints(coarse_cell_mesh, k, periodic=True)
         with pytest.raises(ValueError):
             dofmap.multiplier(np.zeros(dofmap.n_dofs))
 
     def test_unknown_tag_rejected(self, coarse_cell_mesh):
         k = fem.assemble_stiffness(coarse_cell_mesh, 1.0)
         with pytest.raises(ValueError):
-            fem.apply_constraints(k, np.zeros(coarse_cell_mesh.n_vertices),
-                                  coarse_cell_mesh, dirichlet_tags=("lid",))
+            fem.apply_constraints(coarse_cell_mesh, k, dirichlet_tags=("lid",))
 
     def test_periodic_without_pairs_rejected(self):
         mesh = msh.build_unit_square_mesh(3)
         k = fem.assemble_stiffness(mesh, 1.0)
         with pytest.raises(ValueError):
-            fem.apply_constraints(k, np.zeros(mesh.n_vertices), mesh,
-                                  periodic=True)
+            fem.apply_constraints(mesh, k, periodic=True)
 
     def test_shape_mismatch_rejected(self):
         mesh = msh.build_unit_square_mesh(3)
         with pytest.raises(ValueError):
-            fem.apply_constraints(sp.eye(5, format="csr"), np.zeros(5), mesh)
+            fem.apply_constraints(mesh, sp.eye(5, format="csr"))
+        with pytest.raises(ValueError):
+            # one wrong-sized matrix among several is caught too
+            fem.apply_constraints(mesh, fem.assemble_mass(mesh), sp.eye(5, format="csr"))
 

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from homogmem import fem, kernel as ker, macro, mesh as msh
+from homogmem import cli, fem, kernel as ker, macro, mesh as msh
 
 
 def make_kernel(amps, rates, r=0.0, y2=0.25):
@@ -20,13 +20,11 @@ def mode_u0(x1, x2):
 
 def reduced_operators(mesh, tensor):
     """Dirichlet-reduced stiffness/mass assembled independently of macro."""
-    zeros = np.zeros(mesh.n_vertices)
     stiff = fem.assemble_stiffness(mesh, tensor)
     mass = fem.assemble_mass(mesh)
-    k_red, _, dofmap = fem.apply_constraints(
-        stiff, zeros, mesh, dirichlet_tags=("outer",)
+    k_red, m_red, dofmap = fem.apply_constraints(
+        mesh, stiff, mass, dirichlet_tags=("outer",)
     )
-    m_red, _, _ = fem.apply_constraints(mass, zeros, mesh, dirichlet_tags=("outer",))
     return k_red.toarray(), m_red.toarray(), dofmap
 
 
@@ -161,13 +159,8 @@ class TestEnergy:
         tensor = np.array([[1.2, 0.2], [0.2, 0.9]])
         amps = np.array([30.0, 5.0, 1.0])
         kernel = make_kernel(amps, [50.0, 200.0, 900.0], r=0.1)
-
-        def front_u0(x1, x2):
-            return (4.0 / (1.0 + np.exp(-100.0 * (x1 - 0.5))) * x1 * (1.0 - x1)
-                    * np.sin(np.pi * x2))
-
         problem = macro.MacroProblem(
-            mesh=mesh, tensor=tensor, kernel=kernel, u0=front_u0,
+            mesh=mesh, tensor=tensor, kernel=kernel, u0=cli._resolve_u0("paper"),
             tau=1e-3, t_end=0.2, sigma=sigma,
         )
         k_arr, m_arr, _ = reduced_operators(mesh, tensor)

@@ -243,21 +243,6 @@ class TestValidateMesh:
 
 
 class TestSerialization:
-    def test_json_roundtrip(self, coarse_cell_mesh, tmp_path):
-        path = tmp_path / "mesh.json"
-        msh.save_mesh_json(coarse_cell_mesh, path)
-        back = msh.load_mesh_json(path)
-        np.testing.assert_array_equal(back.vertices, coarse_cell_mesh.vertices)
-        np.testing.assert_array_equal(back.triangles, coarse_cell_mesh.triangles)
-        np.testing.assert_array_equal(back.subdomain, coarse_cell_mesh.subdomain)
-        assert back.periodic_pairs == coarse_cell_mesh.periodic_pairs
-
-    def test_json_rejects_foreign_documents(self):
-        with pytest.raises(MeshFormatError):
-            msh.mesh_from_json({"format": "something-else"})
-        with pytest.raises(MeshFormatError):
-            msh.mesh_from_json({"format": msh.MESH_FORMAT_NAME, "version": 99})
-
     def test_msh_roundtrip(self, coarse_cell_mesh, tmp_path):
         path = tmp_path / "cell.msh"
         msh.write_msh(coarse_cell_mesh, path)

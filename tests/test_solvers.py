@@ -16,10 +16,7 @@ def laplacian_system(n, dirichlet=True):
     m = fem.assemble_mass(mesh)
     if not dirichlet:
         return k, m
-    k_red, _, _ = fem.apply_constraints(k, np.zeros(mesh.n_vertices), mesh,
-                                        dirichlet_tags=("outer",))
-    m_red, _, _ = fem.apply_constraints(m, np.zeros(mesh.n_vertices), mesh,
-                                        dirichlet_tags=("outer",))
+    k_red, m_red, _ = fem.apply_constraints(mesh, k, m, dirichlet_tags=("outer",))
     return k_red, m_red
 
 
@@ -89,8 +86,9 @@ class TestSolveSpd:
         k = fem.assemble_stiffness(mesh, 1.0)
         b = fem.integral_weights(mesh)
         b = b - b.mean()  # compatible load for the singular operator
-        k_red, b_red, _ = fem.apply_constraints(k, b, mesh, periodic=True,
-                                                zero_mean=True)
+        k_red, dofmap = fem.apply_constraints(mesh, k, periodic=True,
+                                              zero_mean=True)
+        b_red = dofmap.reduce(b)
         x = solvers.solve_spd(k_red, b_red, tol=1e-11)
         ref = np.linalg.solve(k_red.toarray(), b_red)
         np.testing.assert_allclose(x, ref, atol=1e-8)
