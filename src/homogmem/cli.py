@@ -8,9 +8,11 @@ payload files stay byte-comparable between identical runs.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import ast
 import copy
 import datetime
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -124,6 +126,45 @@ def _cell_mesh(config: dict, geom: msh.CellGeometry) -> msh.TriMesh:
     return msh.periodic_pairs(mesh)
 
 
+_U0_FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs", "tanh", "cosh",
+                "sinh", "where", "minimum", "maximum")
+_U0_NAMES = ("x1", "x2", "pi", "e")
+_U0_NODES = (
+    ast.Expression, ast.Name, ast.Load, ast.Constant, ast.Call, ast.BinOp,
+    ast.UnaryOp, ast.Compare, ast.operator, ast.unaryop, ast.cmpop,
+)
+
+
+def _compile_u0(expr: str):
+    """Compile a u0 expression made only of arithmetic, comparisons, numeric
+    constants, ``x1``/``x2``, ``pi``/``e`` and calls of the listed numpy
+    functions; anything else (attributes, subscripts, other names) is a
+    ValueError.  Integer constants become floats, so that constant powers
+    overflow at once instead of growing without bound."""
+    try:
+        tree = ast.parse(expr, "<u0-expression>", mode="eval")
+    except (SyntaxError, TypeError) as err:
+        raise ValueError(f"u0 expression is not valid: {err}") from None
+    for node in ast.walk(tree):
+        if not isinstance(node, _U0_NODES):
+            raise ValueError(f"u0 expression may not contain {type(node).__name__}")
+        if isinstance(node, ast.Name) and node.id not in _U0_NAMES + _U0_FUNCTIONS:
+            raise ValueError(f"u0 expression may not use the name {node.id!r}")
+        if isinstance(node, ast.Call) and not (
+            isinstance(node.func, ast.Name) and node.func.id in _U0_FUNCTIONS
+            and not node.keywords
+        ):
+            raise ValueError("u0 expression may only call the listed functions")
+        if isinstance(node, ast.Constant):
+            if type(node.value) not in (int, float):
+                raise ValueError(f"u0 constant {node.value!r} is not a real number")
+            try:
+                node.value = float(node.value)
+            except OverflowError:
+                raise ValueError(f"u0 constant {node.value} is too large") from None
+    return compile(tree, "<u0-expression>", "eval")
+
+
 def _resolve_u0(selector):
     if selector == "paper":
         return lambda x1, x2: (
@@ -133,19 +174,16 @@ def _resolve_u0(selector):
     if selector == "zero":
         return lambda x1, x2: np.zeros_like(np.asarray(x1, dtype=float))
     if isinstance(selector, dict) and "expression" in selector:
-        expr = selector["expression"]
-        names = {k: getattr(np, k) for k in (
-            "sin", "cos", "tan", "exp", "log", "sqrt", "abs", "pi", "e",
-            "tanh", "cosh", "sinh", "where", "minimum", "maximum",
-        )}
-        code = compile(expr, "<u0-expression>", "eval")
+        code = _compile_u0(selector["expression"])
+        names = {k: getattr(np, k) for k in _U0_FUNCTIONS + ("pi", "e")}
 
         def u0(x1, x2):
-            scope = dict(names)
-            scope.update({"x1": x1, "x2": x2})
+            try:
+                value = eval(code, {"__builtins__": {}}, {**names, "x1": x1, "x2": x2})
+            except (ArithmeticError, TypeError) as err:
+                raise ValueError(f"u0 expression failed: {err}") from None
             return np.broadcast_to(
-                np.asarray(eval(code, {"__builtins__": {}}, scope), dtype=float),
-                np.asarray(x1).shape,
+                np.asarray(value, dtype=float), np.asarray(x1).shape
             ).copy()
 
         return u0
@@ -172,6 +210,24 @@ def _would_write(stage: str, config: dict) -> list[str]:
         stem = _snapshot_stem(float(t_req), float(config["macro"]["tau"]))
         files += [f"{stem}.{ext}" for ext in ("vtk", "csv") if ext in fmts]
     return files
+
+
+def _check_time_grid(config: dict) -> None:
+    """Reject a macro step that is not positive and finite, or that does not
+    divide a finite t_end into whole steps."""
+    mac = config["macro"]
+    tau, t_end = float(mac["tau"]), float(mac["t_end"])
+    if not (math.isfinite(tau) and tau > 0.0 and math.isfinite(t_end)):
+        raise ValueError(
+            f"macro.tau must be positive and finite and macro.t_end finite, "
+            f"got tau={mac['tau']}, t_end={mac['t_end']}"
+        )
+    levels = t_end / tau
+    if abs(levels - round(levels)) > 1e-9 * levels:
+        raise ValueError(
+            f"macro.t_end={mac['t_end']} is not a whole number of steps of "
+            f"macro.tau={mac['tau']}"
+        )
 
 
 def _check_output_dir(outdir: Path, stages: list[str], config: dict, force: bool):
@@ -265,12 +321,6 @@ def cmd_kernel(config: dict, outdir: Path) -> dict:
 
 def cmd_solve(config: dict, outdir: Path) -> dict:
     mac = config["macro"]
-    levels = float(mac["t_end"]) / float(mac["tau"])
-    if abs(levels - round(levels)) > 1e-9 * levels:
-        raise ValueError(
-            f"macro.t_end={mac['t_end']} is not a whole number of steps of "
-            f"macro.tau={mac['tau']}"
-        )
     tensor_path = Path(mac["tensor_path"] or outdir / "tensor.json")
     kernel_path = Path(mac["kernel_path"] or outdir / "kernel.json")
     if not tensor_path.exists():
@@ -365,6 +415,8 @@ def main(argv=None) -> int:
             ["tensor", "kernel", "solve"] if args.command == "pipeline"
             else [args.command]
         )
+        if "solve" in stages:
+            _check_time_grid(config)
         _check_output_dir(outdir, stages, config, args.force)
         runners = {"tensor": cmd_tensor, "kernel": cmd_kernel, "solve": cmd_solve}
         for stage in stages:
@@ -374,6 +426,9 @@ def main(argv=None) -> int:
     except ConvergenceError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
+    except MemoryError as err:
+        print(f"error: problem too large: {err}", file=sys.stderr)
+        return 2
     except (HomogError, ValueError, KeyError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import Delaunay
+from scipy.spatial import Delaunay, cKDTree
 
 from .errors import GeometryError, MeshFormatError, PeriodicityError
 
@@ -141,18 +141,26 @@ class CellGeometry:
         return q @ self.local_frame().T + np.asarray(self.center)
 
 
-def _sorted_edges(triangles: np.ndarray) -> np.ndarray:
-    e = np.vstack([triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]])
-    return np.sort(e, axis=1)
+def _edge_keys(edges: np.ndarray, nv: int) -> np.ndarray:
+    """One int64 per undirected edge, ``lo * nv + hi``; needs ``nv`` above
+    every vertex index.  Keys sort in the lexicographic order of (lo, hi)."""
+    e = np.asarray(edges, dtype=np.int64)
+    return np.minimum(e[:, 0], e[:, 1]) * nv + np.maximum(e[:, 0], e[:, 1])
 
 
 def _edge_incidence(triangles: np.ndarray):
-    """Unique sorted edges, their multiplicities, and per-slot inverse map."""
-    edges = _sorted_edges(triangles)
-    uniq, inverse, counts = np.unique(
-        edges, axis=0, return_inverse=True, return_counts=True
+    """Unique sorted edges, their multiplicities, and per-slot inverse map.
+
+    Slots run over the edges (0,1), (1,2), (2,0) of every triangle in turn.
+    """
+    nv = int(triangles.max()) + 1
+    slots = np.vstack(
+        [triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]]
     )
-    return uniq, inverse, counts
+    keys, inverse, counts = np.unique(
+        _edge_keys(slots, nv), return_inverse=True, return_counts=True
+    )
+    return np.column_stack([keys // nv, keys % nv]), inverse, counts
 
 
 def _fix_orientation(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
@@ -223,6 +231,41 @@ def _inside_convex_polygon(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
     return (cross > 0.0).all(axis=1)
 
 
+def _clear_of_polygon(points: np.ndarray, poly: np.ndarray,
+                      clear: float) -> np.ndarray:
+    """``_point_segment_distance(points, poly) >= clear``, row for row.
+
+    The polygon is never nearer than the nearest vertex minus half the
+    longest edge, so a k-d tree on the vertices settles every point outside
+    a band around the polygon; only the band gets exact segment distances.
+    """
+    max_edge = float(np.linalg.norm(np.roll(poly, -1, axis=0) - poly, axis=1).max())
+    reach = clear + max_edge
+    band = np.isfinite(cKDTree(poly).query(points, distance_upper_bound=reach)[0])
+    out = np.ones(points.shape[0], dtype=bool)
+    out[band] = _point_segment_distance(points[band], poly) >= clear
+    return out
+
+
+def _inside_inscribed_polygon(points: np.ndarray, geom: CellGeometry,
+                              poly: np.ndarray) -> np.ndarray:
+    """``_inside_convex_polygon(points, poly)`` for an inscribed polygon of
+    ``geom``, row for row.
+
+    A point farther than two edge lengths from every vertex cannot lie
+    between the polygon and the ellipse, so the ellipse equation decides it;
+    only points nearer than that get the exact polygon test.
+    """
+    max_edge = float(np.linalg.norm(np.roll(poly, -1, axis=0) - poly, axis=1).max())
+    local = (points - np.asarray(geom.center)) @ geom.local_frame()
+    inside = (local[:, 0] / geom.b) ** 2 + (local[:, 1] / geom.a) ** 2 < 1.0
+    near = np.isfinite(
+        cKDTree(poly).query(points, distance_upper_bound=2.0 * max_edge)[0]
+    )
+    inside[near] = _inside_convex_polygon(points[near], poly)
+    return inside
+
+
 def build_cell_mesh(geom: CellGeometry, h: float, n_arc: int = 128) -> TriMesh:
     """Mesh the unit cell with the inclusion boundary resolved exactly.
 
@@ -233,6 +276,13 @@ def build_cell_mesh(geom: CellGeometry, h: float, n_arc: int = 128) -> TriMesh:
     moved, which keeps opposite sides mirror-identical for periodic pairing.
     Triangles are labeled Y2 inside the polygon and Y1 outside; polygon edges
     are tagged INCLUSION, the square frame OUTER.
+
+    Polygon queries are local, so memory grows with the grid and not with
+    grid times ``n_arc``: a k-d tree on the polygon vertices picks the thin
+    band of grid points that need exact point-segment distances and the
+    centroids near enough to the polygon to need the exact inside test; the
+    other centroids are labeled by the ellipse equation.  Edges are compared
+    as one integer key each.
     """
     if h <= 0.0:
         raise ValueError(f"target edge length must be positive, got {h}")
@@ -248,11 +298,12 @@ def build_cell_mesh(geom: CellGeometry, h: float, n_arc: int = 128) -> TriMesh:
         )
 
     n = max(2, int(round(1.0 / h)))
+    # the full grid is allocated first, so an absurd h fails before any work
+    grid = np.empty(((n + 1) ** 2, 2))
     coords = np.linspace(0.0, 1.0, n + 1)
-    xg, yg = np.meshgrid(coords, coords, indexing="xy")
-    grid = np.column_stack([xg.ravel(), yg.ravel()])
-    dist = _point_segment_distance(grid, poly)
-    grid = grid[dist >= clear]
+    grid[:, 0] = np.tile(coords, n + 1)
+    grid[:, 1] = np.repeat(coords, n + 1)
+    grid = grid[_clear_of_polygon(grid, poly, clear)]
 
     points = np.vstack([grid, poly])
     tri = Delaunay(points)
@@ -262,31 +313,28 @@ def build_cell_mesh(geom: CellGeometry, h: float, n_arc: int = 128) -> TriMesh:
     if areas.min() <= 1e-14:
         raise GeometryError("triangulation produced a degenerate triangle")
 
-    first_poly = grid.shape[0]
-    ring = first_poly + np.arange(n_arc)
-    wanted = np.sort(np.column_stack([ring, np.roll(ring, -1)]), axis=1)
+    nv = points.shape[0]
+    ring = grid.shape[0] + np.arange(n_arc)
+    wanted = np.sort(_edge_keys(np.column_stack([ring, np.roll(ring, -1)]), nv))
     uniq, inverse, counts = _edge_incidence(triangles)
-    present = {tuple(e) for e in uniq}
-    for e in wanted:
-        if (int(e[0]), int(e[1])) not in present:
-            raise GeometryError(
-                "inclusion polygon edge missing from triangulation; "
-                "decrease n_arc or refine h"
-            )
+    keys = _edge_keys(uniq, nv)
+    if not np.isin(wanted, keys).all():
+        raise GeometryError(
+            "inclusion polygon edge missing from triangulation; "
+            "decrease n_arc or refine h"
+        )
 
-    centroids = p.mean(axis=1)
-    subdomain = np.where(_inside_convex_polygon(centroids, poly), Y2, Y1)
+    inside = _inside_inscribed_polygon(p.mean(axis=1), geom, poly)
+    subdomain = np.where(inside, Y2, Y1)
 
     # frame edges have one incident triangle; interface edges separate labels
     nt = triangles.shape[0]
     outer_mask = counts == 1
-    tri_of_slot = np.tile(np.arange(nt), 3)
-    label_sum = np.zeros(uniq.shape[0])
-    np.add.at(label_sum, inverse, subdomain[tri_of_slot].astype(float))
+    label_sum = np.bincount(
+        inverse, weights=subdomain[np.tile(np.arange(nt), 3)], minlength=keys.size
+    )
     interface_mask = (counts == 2) & (label_sum == Y1 + Y2)
-    wanted_set = {(int(e[0]), int(e[1])) for e in wanted}
-    got = {(int(e[0]), int(e[1])) for e in uniq[interface_mask]}
-    if got != wanted_set:
+    if not np.array_equal(keys[interface_mask], wanted):
         raise GeometryError("material interface does not match the polygon")
 
     boundary_edges = np.vstack([uniq[outer_mask], uniq[interface_mask]])
@@ -480,16 +528,19 @@ def submesh(mesh: TriMesh, labels) -> tuple[TriMesh, np.ndarray]:
     renum[vmap] = np.arange(vmap.size)
     new_tris = renum[tris]
 
-    parent_tags = {
-        (int(a), int(b)): int(t)
-        for (a, b), t in zip(np.sort(mesh.boundary_edges, axis=1), mesh.boundary_tags)
-    }
+    nv = mesh.n_vertices
+    parent_keys = _edge_keys(mesh.boundary_edges, nv)
+    order = np.argsort(parent_keys, kind="stable")
+    parent_keys = parent_keys[order]
     uniq, _, counts = _edge_incidence(new_tris)
     open_edges = uniq[counts == 1]
-    tags = []
-    for a, b in open_edges:
-        key = (int(vmap[a]), int(vmap[b]))
-        tags.append(parent_tags.get(tuple(sorted(key)), OUTER))
+    # a parent edge listed twice keeps its last tag, as a dict would
+    query = _edge_keys(vmap[open_edges], nv)
+    pos = np.searchsorted(parent_keys, query, side="right") - 1
+    found = pos >= 0
+    found[found] = parent_keys[pos[found]] == query[found]
+    tags = np.full(query.size, OUTER, dtype=int)
+    tags[found] = mesh.boundary_tags[order[pos[found]]]
     pairs = {
         int(renum[s]): int(renum[m])
         for s, m in mesh.periodic_pairs.items()
@@ -500,7 +551,7 @@ def submesh(mesh: TriMesh, labels) -> tuple[TriMesh, np.ndarray]:
         triangles=new_tris,
         subdomain=mesh.subdomain[keep],
         boundary_edges=open_edges,
-        boundary_tags=np.asarray(tags, dtype=int),
+        boundary_tags=tags,
         periodic_pairs=pairs,
     )
     return sub, vmap
@@ -514,14 +565,17 @@ def validate_mesh(mesh: TriMesh, expected_measure: float | None = None,
     uniq, _, counts = _edge_incidence(mesh.triangles)
     if counts.max() > 2:
         raise ValueError("non-conforming mesh: edge shared by >2 triangles")
-    listed = {(int(a), int(b)) for a, b in np.sort(mesh.boundary_edges, axis=1)}
-    all_edges = {(int(u[0]), int(u[1])) for u in uniq}
-    for e, c in zip(uniq, counts):
-        if c == 1 and (int(e[0]), int(e[1])) not in listed:
-            raise ValueError(f"open edge {tuple(e)} missing from boundary_edges")
-    for key in listed:
-        if key not in all_edges:
-            raise ValueError(f"boundary edge {key} not present in the mesh")
+    nv = 1 + max(int(mesh.triangles.max()), int(mesh.boundary_edges.max(initial=0)))
+    keys = _edge_keys(uniq, nv)
+    listed = _edge_keys(mesh.boundary_edges, nv)
+    unlisted = (counts == 1) & ~np.isin(keys, listed)
+    if unlisted.any():
+        e = uniq[np.argmax(unlisted)]
+        raise ValueError(f"open edge {(int(e[0]), int(e[1]))} not in boundary_edges")
+    absent = ~np.isin(listed, keys)
+    if absent.any():
+        key = divmod(int(listed[np.argmax(absent)]), nv)
+        raise ValueError(f"boundary edge {key} not present in the mesh")
     if not np.isin(mesh.subdomain, [OMEGA, Y1, Y2]).all():
         raise ValueError("unknown subdomain label")
     if expected_measure is not None:

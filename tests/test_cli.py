@@ -1,11 +1,15 @@
 """CLI pipeline: config handling, artifacts, schemas, exit codes."""
+import importlib.util
 import json
+import sys
 import warnings
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homogmem import cli, errors, mesh as msh
 
@@ -317,6 +321,94 @@ class TestExitCodes:
         assert "whole number of steps" in capsys.readouterr().err
         assert not (out2 / "summary.json").exists()
 
+    @pytest.mark.parametrize("tau", ["0", "-0.01", "NaN", "Infinity"])
+    def test_bad_tau_exits_2_before_touching_the_output(self, tmp_path, capsys, tau):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        rc = cli.main(["pipeline", "--config", str(config), "--out", str(out),
+                       "--set", f"macro.tau={tau}"])
+        assert rc == 2
+        assert "macro.tau must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    # sizes whose grid cannot even be addressed, so they fail before any work
+    @pytest.mark.parametrize("h", ["1e-9", "3e-9"])
+    def test_hostile_mesh_size_exits_2_in_one_line(self, tmp_path, capsys, h):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        rc = cli.main(["tensor", "--config", str(config), "--out", str(out),
+                       "--set", f"mesh.h={h}"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_u0_reaching_object_internals_exits_2(self, pipeline_run, tmp_path):
+        config, out = pipeline_run
+        expr = "().__class__.__mro__[1].__subclasses__().__len__()"
+        rc = cli.main([
+            "solve", "--config", str(config), "--out", str(tmp_path / "dunder"),
+            "--set", f'macro.tensor_path="{out / "tensor.json"}"',
+            "--set", f'macro.kernel_path="{out / "kernel.json"}"',
+            "--set", "macro.u0=" + json.dumps({"expression": expr}),
+        ])
+        assert rc == 2
+        assert not (tmp_path / "dunder" / "summary.json").exists()
+
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit):
             cli.main([])
+
+
+def load_bench_workloads():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestU0Expression:
+    x1, x2 = np.meshgrid(np.linspace(0.0, 1.0, 41), np.linspace(0.0, 1.0, 37))
+
+    def test_benchmark_paper_expression_matches_builtin(self):
+        expr = load_bench_workloads().PAPER_U0.format(front=0.5)
+        np.testing.assert_array_equal(
+            cli._resolve_u0({"expression": expr})(self.x1, self.x2),
+            cli._resolve_u0("paper")(self.x1, self.x2),
+        )
+
+    def test_listed_names_and_arithmetic_evaluate(self):
+        u0 = cli._resolve_u0({"expression": "where(x1 < 0.5, -x2**2, e) % 3 + pi"})
+        want = np.where(self.x1 < 0.5, -self.x2**2, np.e) % 3 + np.pi
+        np.testing.assert_array_equal(u0(self.x1, self.x2), want)
+
+    @pytest.mark.parametrize("expr", [
+        "__import__('os')", "open", "sin(x1, out=x2)", "lambda: 1", "[x1][0]",
+        "'text'", "x1 if x2 else 0", "x1 and x2", "(x1 := 1)", "sin(*x1)",
+        "x1(0)", "True", "1j",
+    ])
+    def test_other_constructs_rejected(self, expr):
+        with pytest.raises(ValueError):
+            cli._resolve_u0({"expression": expr})
+
+    @pytest.mark.parametrize("expr", ["9**9**9 + x1", "10**999", "1/0"])
+    def test_constant_arithmetic_errors_are_config_errors(self, expr):
+        u0 = cli._resolve_u0({"expression": expr})
+        with pytest.raises(ValueError):
+            u0(self.x1, self.x2)
+
+    @given(
+        base=st.sampled_from(["x1", "x2", "pi", "e", "(x1 + 1)", "sin(x1)", "()",
+                              "2", "1.5", "exp(x2 * pi)"]),
+        attr=st.from_regex(r"\A_{0,2}[A-Za-z][A-Za-z0-9_]{0,12}\Z"),
+        index=st.integers(-3, 3),
+        subscript=st.booleans(),
+        wrap=st.sampled_from(["{}", "sin({})", "1 + {}", "{} * x1", "{}()"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_attribute_and_subscript_rejected(self, base, attr, index, subscript,
+                                              wrap):
+        access = f"{base}[{index}]" if subscript else f"{base}.{attr}"
+        with pytest.raises(ValueError):
+            cli._resolve_u0({"expression": wrap.format(access)})

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import Delaunay
 
 from homogmem import mesh as msh
 from homogmem.errors import GeometryError, MeshFormatError, PeriodicityError
@@ -139,6 +140,138 @@ class TestCellMesh:
             msh.build_cell_mesh(ref_geom, -0.1)
 
 
+def dense_cell_mesh(geom, h, n_arc):
+    """Reference cell mesher: every grid point and centroid is tested against
+    every polygon edge, and edges are compared as tuples and row-unique pairs.
+
+    This is the mesher as it was before its polygon queries became local; the
+    point-by-edge arrays are formed a block of rows at a time, which gives the
+    same values per row at bounded memory.
+    """
+    poly = geom.boundary_polygon(n_arc)
+    a = poly
+    d = np.roll(poly, -1, axis=0) - poly
+    len2 = (d * d).sum(axis=1)
+
+    def distance(points):
+        rel = points[:, None, :] - a[None, :, :]
+        t = np.clip((rel * d[None]).sum(axis=2) / len2[None], 0.0, 1.0)
+        proj = a[None] + t[:, :, None] * d[None]
+        gap = points[:, None, :] - proj
+        return np.sqrt((gap * gap).sum(axis=2)).min(axis=1)
+
+    def inside(points):
+        rel = points[:, None, :] - a[None, :, :]
+        cross = d[None, :, 0] * rel[:, :, 1] - d[None, :, 1] * rel[:, :, 0]
+        return (cross > 0.0).all(axis=1)
+
+    def by_rows(f, points, rows=4096):
+        return np.concatenate(
+            [f(points[i:i + rows]) for i in range(0, len(points), rows)]
+        )
+
+    edge_len = np.linalg.norm(d, axis=1)
+    clear = max(0.35 * h, 0.55 * float(edge_len.max()))
+    n = max(2, int(round(1.0 / h)))
+    coords = np.linspace(0.0, 1.0, n + 1)
+    xg, yg = np.meshgrid(coords, coords, indexing="xy")
+    grid = np.column_stack([xg.ravel(), yg.ravel()])
+    grid = grid[by_rows(distance, grid) >= clear]
+
+    points = np.vstack([grid, poly])
+    triangles = msh._fix_orientation(
+        points, np.asarray(Delaunay(points).simplices, dtype=np.int64)
+    )
+    p = points[triangles]
+    ring = grid.shape[0] + np.arange(n_arc)
+    wanted = {tuple(sorted(e)) for e in zip(ring.tolist(), np.roll(ring, -1).tolist())}
+    uniq, inverse, counts = unique_edges_reference(triangles)
+    assert wanted <= {tuple(e) for e in uniq.tolist()}
+
+    subdomain = np.where(by_rows(inside, p.mean(axis=1)), msh.Y2, msh.Y1)
+    outer_mask = counts == 1
+    label_sum = np.zeros(uniq.shape[0])
+    np.add.at(label_sum, inverse, subdomain[np.tile(np.arange(len(triangles)), 3)])
+    interface_mask = (counts == 2) & (label_sum == msh.Y1 + msh.Y2)
+    assert {tuple(e) for e in uniq[interface_mask].tolist()} == wanted
+    return msh.TriMesh(
+        vertices=points,
+        triangles=triangles,
+        subdomain=subdomain,
+        boundary_edges=np.vstack([uniq[outer_mask], uniq[interface_mask]]),
+        boundary_tags=np.concatenate([
+            np.full(int(outer_mask.sum()), msh.OUTER),
+            np.full(int(interface_mask.sum()), msh.INCLUSION),
+        ]),
+    )
+
+
+def unique_edges_reference(triangles):
+    edges = np.sort(np.vstack(
+        [triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]]
+    ), axis=1)
+    uniq, inverse, counts = np.unique(
+        edges, axis=0, return_inverse=True, return_counts=True
+    )
+    return uniq, inverse.ravel(), counts
+
+
+MESH_ARRAYS = ("vertices", "triangles", "subdomain", "boundary_edges", "boundary_tags")
+
+
+class TestCellMeshMatchesDenseReference:
+    @pytest.mark.parametrize(
+        "h, n_arc, angle, center",
+        [
+            (0.02, 256, 30.0, (0.5, 0.5)),
+            (1.0 / 192, 256, 30.0, (0.5, 0.5)),
+            (1.0 / 48, 128, 17.0, (0.5, 0.5)),
+            (0.02, 64, 0.0, (0.5, 0.5)),
+            (0.02, 128, 90.0, (0.5, 0.5)),
+            (1.0 / 96, 512, 45.0, (0.45, 0.52)),
+        ],
+    )
+    def test_arrays_identical(self, h, n_arc, angle, center):
+        geom = msh.CellGeometry(a=0.4, b=0.2, angle_deg=angle, center=center)
+        mesh = msh.build_cell_mesh(geom, h, n_arc)
+        ref = dense_cell_mesh(geom, h, n_arc)
+        for name in MESH_ARRAYS:
+            got, want = getattr(mesh, name), getattr(ref, name)
+            assert got.dtype == want.dtype, name
+            np.testing.assert_array_equal(got, want, err_msg=name)
+
+    @pytest.mark.parametrize("n_arc, angle", [(8, 0.0), (16, 17.0), (256, 30.0)])
+    def test_local_polygon_queries_match_dense(self, n_arc, angle):
+        # points crowd the polygon, including the sliver between polygon and
+        # ellipse, where the ellipse equation and the polygon disagree
+        geom = msh.CellGeometry(a=0.4, b=0.1, angle_deg=angle)
+        poly = geom.boundary_polygon(n_arc)
+        rng = np.random.default_rng(n_arc)
+        t = rng.uniform(0.0, 2.0 * np.pi, 4000)
+        r = rng.uniform(0.0, 1.5, 4000) ** 0.5
+        r[:2000] = 1.0 - rng.uniform(0.0, 0.5 / n_arc**2, 2000)
+        local = np.column_stack([geom.b * r * np.cos(t), geom.a * r * np.sin(t)])
+        pts = local @ geom.local_frame().T + np.asarray(geom.center)
+        inside = msh._inside_convex_polygon(pts, poly)
+        in_ellipse = r < 1.0
+        assert (in_ellipse & ~inside).sum() > 100
+        np.testing.assert_array_equal(
+            msh._inside_inscribed_polygon(pts, geom, poly), inside
+        )
+        dist = msh._point_segment_distance(pts, poly)
+        for clear in (0.001, 0.01, 0.05):
+            np.testing.assert_array_equal(
+                msh._clear_of_polygon(pts, poly, clear), dist >= clear
+            )
+
+    def test_edge_incidence_matches_row_unique(self, ref_geom, coarse_cell_mesh):
+        inclusion = msh.build_inclusion_mesh(ref_geom, 1.0 / 48, n_arc=128)
+        for mesh in (coarse_cell_mesh, inclusion):
+            got = msh._edge_incidence(mesh.triangles)
+            for g, w in zip(got, unique_edges_reference(mesh.triangles)):
+                np.testing.assert_array_equal(g, w)
+
+
 class TestInclusionMesh:
     def test_valid_pure_inclusion(self, ref_geom):
         mesh = msh.build_inclusion_mesh(ref_geom, 1.0 / 24, n_arc=64)
@@ -208,9 +341,25 @@ class TestSubmesh:
             y2.vertices, coarse_cell_mesh.vertices[vmap2]
         )
         assert (y2.boundary_tags == msh.INCLUSION).all()
+        assert (y1.boundary_tags == msh.INCLUSION).sum() == 128
         assert (y1.subdomain == msh.Y1).all()
         msh.validate_mesh(y1)
         msh.validate_mesh(y2)
+
+    def test_edges_new_to_the_submesh_are_tagged_outer(self):
+        mesh = msh.build_unit_square_mesh(4)
+        left = mesh.vertices[mesh.triangles].mean(axis=1)[:, 0] < 0.5
+        parent = dataclasses.replace(
+            mesh,
+            subdomain=np.where(left, msh.Y1, msh.Y2),
+            boundary_tags=np.full_like(mesh.boundary_tags, msh.INCLUSION),
+        )
+        sub, vmap = msh.submesh(parent, msh.Y1)
+        x = sub.vertices[sub.boundary_edges, 0]
+        cut = (x == 0.5).all(axis=1)
+        assert cut.sum() == 4
+        assert (sub.boundary_tags[cut] == msh.OUTER).all()
+        assert (sub.boundary_tags[~cut] == msh.INCLUSION).all()
 
     def test_unknown_label_raises(self, coarse_cell_mesh):
         with pytest.raises(ValueError):
@@ -235,6 +384,17 @@ class TestValidateMesh:
         )
         with pytest.raises(ValueError):
             msh.validate_mesh(bad)
+
+    def test_boundary_edge_absent_from_mesh_rejected(self):
+        mesh = msh.build_unit_square_mesh(2)
+        for extra in ([0, 8], [0, 100]):  # a diagonal; an unknown vertex
+            bad = dataclasses.replace(
+                mesh,
+                boundary_edges=np.vstack([mesh.boundary_edges, extra]),
+                boundary_tags=np.append(mesh.boundary_tags, msh.OUTER),
+            )
+            with pytest.raises(ValueError, match="not present"):
+                msh.validate_mesh(bad)
 
     def test_wrong_measure_rejected(self):
         mesh = msh.build_unit_square_mesh(2)
