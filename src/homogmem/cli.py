@@ -128,7 +128,7 @@ def _cell_mesh(config: dict, geom: msh.CellGeometry) -> msh.TriMesh:
 
 _U0_FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs", "tanh", "cosh",
                 "sinh", "where", "minimum", "maximum")
-_U0_NAMES = ("x1", "x2", "pi", "e")
+_U0_CONSTANTS = ("pi", "e")
 _U0_NODES = (
     ast.Expression, ast.Name, ast.Load, ast.Constant, ast.Call, ast.BinOp,
     ast.UnaryOp, ast.Compare, ast.operator, ast.unaryop, ast.cmpop,
@@ -145,10 +145,11 @@ def _compile_u0(expr: str):
         tree = ast.parse(expr, "<u0-expression>", mode="eval")
     except (SyntaxError, TypeError) as err:
         raise ValueError(f"u0 expression is not valid: {err}") from None
+    allowed = ("x1", "x2") + _U0_CONSTANTS + _U0_FUNCTIONS
     for node in ast.walk(tree):
         if not isinstance(node, _U0_NODES):
             raise ValueError(f"u0 expression may not contain {type(node).__name__}")
-        if isinstance(node, ast.Name) and node.id not in _U0_NAMES + _U0_FUNCTIONS:
+        if isinstance(node, ast.Name) and node.id not in allowed:
             raise ValueError(f"u0 expression may not use the name {node.id!r}")
         if isinstance(node, ast.Call) and not (
             isinstance(node.func, ast.Name) and node.func.id in _U0_FUNCTIONS
@@ -175,7 +176,7 @@ def _resolve_u0(selector):
         return lambda x1, x2: np.zeros_like(np.asarray(x1, dtype=float))
     if isinstance(selector, dict) and "expression" in selector:
         code = _compile_u0(selector["expression"])
-        names = {k: getattr(np, k) for k in _U0_FUNCTIONS + ("pi", "e")}
+        names = {k: getattr(np, k) for k in _U0_FUNCTIONS + _U0_CONSTANTS}
 
         def u0(x1, x2):
             try:
@@ -212,10 +213,12 @@ def _would_write(stage: str, config: dict) -> list[str]:
     return files
 
 
-def _check_time_grid(config: dict) -> None:
-    """Reject a macro step that is not positive and finite, or that does not
-    divide a finite t_end into whole steps."""
+def _check_solve_config(config: dict) -> None:
+    """Reject, before any stage runs, a u0 that does not resolve and a macro
+    step that is not positive and finite or does not divide a finite t_end
+    into whole steps."""
     mac = config["macro"]
+    _resolve_u0(mac["u0"])
     tau, t_end = float(mac["tau"]), float(mac["t_end"])
     if not (math.isfinite(tau) and tau > 0.0 and math.isfinite(t_end)):
         raise ValueError(
@@ -416,7 +419,7 @@ def main(argv=None) -> int:
             else [args.command]
         )
         if "solve" in stages:
-            _check_time_grid(config)
+            _check_solve_config(config)
         _check_output_dir(outdir, stages, config, args.force)
         runners = {"tensor": cmd_tensor, "kernel": cmd_kernel, "solve": cmd_solve}
         for stage in stages:

@@ -342,17 +342,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
-    def test_u0_reaching_object_internals_exits_2(self, pipeline_run, tmp_path):
-        config, out = pipeline_run
+    def test_u0_reaching_object_internals_exits_2_before_any_stage(self, tmp_path):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
         expr = "().__class__.__mro__[1].__subclasses__().__len__()"
-        rc = cli.main([
-            "solve", "--config", str(config), "--out", str(tmp_path / "dunder"),
-            "--set", f'macro.tensor_path="{out / "tensor.json"}"',
-            "--set", f'macro.kernel_path="{out / "kernel.json"}"',
-            "--set", "macro.u0=" + json.dumps({"expression": expr}),
-        ])
+        rc = cli.main(["pipeline", "--config", str(config), "--out", str(out),
+                       "--set", "macro.u0=" + json.dumps({"expression": expr})])
         assert rc == 2
-        assert not (tmp_path / "dunder" / "summary.json").exists()
+        assert not out.exists()
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit):
