@@ -231,6 +231,10 @@ def _inside_convex_polygon(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
     return (cross > 0.0).all(axis=1)
 
 
+def _longest_edge(poly: np.ndarray) -> float:
+    return float(np.linalg.norm(np.roll(poly, -1, axis=0) - poly, axis=1).max())
+
+
 def _clear_of_polygon(points: np.ndarray, poly: np.ndarray,
                       clear: float) -> np.ndarray:
     """``_point_segment_distance(points, poly) >= clear``, row for row.
@@ -239,7 +243,7 @@ def _clear_of_polygon(points: np.ndarray, poly: np.ndarray,
     longest edge, so a k-d tree on the vertices settles every point outside
     a band around the polygon; only the band gets exact segment distances.
     """
-    max_edge = float(np.linalg.norm(np.roll(poly, -1, axis=0) - poly, axis=1).max())
+    max_edge = _longest_edge(poly)
     reach = clear + max_edge
     band = np.isfinite(cKDTree(poly).query(points, distance_upper_bound=reach)[0])
     out = np.ones(points.shape[0], dtype=bool)
@@ -256,7 +260,7 @@ def _inside_inscribed_polygon(points: np.ndarray, geom: CellGeometry,
     between the polygon and the ellipse, so the ellipse equation decides it;
     only points nearer than that get the exact polygon test.
     """
-    max_edge = float(np.linalg.norm(np.roll(poly, -1, axis=0) - poly, axis=1).max())
+    max_edge = _longest_edge(poly)
     local = (points - np.asarray(geom.center)) @ geom.local_frame()
     inside = (local[:, 0] / geom.b) ** 2 + (local[:, 1] / geom.a) ** 2 < 1.0
     near = np.isfinite(
@@ -288,8 +292,7 @@ def build_cell_mesh(geom: CellGeometry, h: float, n_arc: int = 128) -> TriMesh:
         raise ValueError(f"target edge length must be positive, got {h}")
     poly = geom.boundary_polygon(n_arc)
 
-    edge_len = np.linalg.norm(np.roll(poly, -1, axis=0) - poly, axis=1)
-    clear = max(0.35 * h, 0.55 * float(edge_len.max()))
+    clear = max(0.35 * h, 0.55 * _longest_edge(poly))
     frame_gap = np.minimum(poly, 1.0 - poly).min()
     if frame_gap <= clear + 0.25 * h:
         raise GeometryError(
