@@ -50,19 +50,26 @@ DEFAULT_CONFIG: dict = {
     },
     "output": {"directory": "out", "formats": ["vtk", "csv"], "write_correctors": False},
 }
+# The types of the leaves whose default does not name their type; every other
+# leaf takes the type of its default (list elements that of its first element).
+_LEAF_TYPES = {
+    "mesh.msh_path": (str, type(None)),
+    "macro.tensor_path": (str, type(None)),
+    "macro.kernel_path": (str, type(None)),
+    "mesh.subdomain_tags": (dict, type(None)),
+    "mesh.boundary_tags": (dict, type(None)),
+    "macro.u0": (str, dict),
+}
+# The leaves (or list elements) that must be one of a few names.
+_NAMES = {
+    "mesh.mode": ("builtin", "msh"),
+    "kernel.mesh.mode": ("inclusion", "cell"),
+    "output.formats": ("vtk", "csv"),
+}
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
-    out = copy.deepcopy(base)
-    for key, val in override.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], val)
-        else:
-            out[key] = copy.deepcopy(val)
-    return out
-
-
-def _parse_set(expr: str):
+def _parse_set(expr: str) -> dict:
+    """The nested one-key config document of a ``--set key=value``."""
     if "=" not in expr:
         raise ValueError(f"--set expects key=value, got {expr!r}")
     key, raw = expr.split("=", 1)
@@ -70,19 +77,38 @@ def _parse_set(expr: str):
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    return key.strip(), value
+    for part in reversed(key.strip().split(".")):
+        value = {part: value}
+    return value
 
 
-def _apply_set(config: dict, key: str, value) -> None:
-    parts = key.split(".")
-    node = config
-    for part in parts[:-1]:
-        if part not in node or not isinstance(node[part], dict):
-            raise ValueError(f"--set path {key!r} does not exist in the config")
-        node = node[part]
-    if parts[-1] not in node:
-        raise ValueError(f"--set path {key!r} does not exist in the config")
-    node[parts[-1]] = value
+def _merge(config, value, default=DEFAULT_CONFIG, where: str = ""):
+    """``config`` with ``value`` laid over it, checked against ``default``.
+    Every key must exist in ``default`` at its depth and every leaf must have
+    the type of its default (list elements that of the default's first
+    element) or one that ``_LEAF_TYPES`` names; an int becomes a float where
+    the default is a float.  Anything else is a ValueError."""
+    if type(default) is dict:
+        if type(value) is not dict:
+            raise ValueError(f"config {where or 'root'} must be a JSON object")
+        merged = dict(config)
+        for key, item in value.items():
+            path = f"{where}.{key}" if where else key
+            if key not in default:
+                raise ValueError(f"unknown config key {path!r}")
+            merged[key] = _merge(config[key], item, default[key], path)
+        return merged
+    if type(default) is list and type(value) is list:
+        return [_merge(None, item, default[0], where) for item in value]
+    accepted = _LEAF_TYPES.get(where) or (
+        (int, float) if type(default) is float else (type(default),))
+    huge = type(value) is int and abs(value) > sys.float_info.max  # no float holds it
+    if type(value) not in accepted or huge:
+        raise ValueError(f"config {where} does not accept {json.dumps(value)}")
+    names = _NAMES.get(where)
+    if names and value not in names:
+        raise ValueError(f"config {where} must be one of {names}, got {value!r}")
+    return float(value) if type(default) is float else value
 
 
 def load_config(path, overrides=()) -> dict:
@@ -91,38 +117,22 @@ def load_config(path, overrides=()) -> dict:
             user = json.load(fh)
         except json.JSONDecodeError as err:
             raise ValueError(f"config is not valid JSON: {err}") from err
-    if not isinstance(user, dict):
-        raise ValueError("config root must be a JSON object")
-    unknown = set(user) - set(DEFAULT_CONFIG)
-    if unknown:
-        raise ValueError(f"unknown config sections: {sorted(unknown)}")
-    config = _deep_merge(DEFAULT_CONFIG, user)
-    for expr in overrides:
-        key, value = _parse_set(expr)
-        _apply_set(config, key, value)
+    config = copy.deepcopy(DEFAULT_CONFIG)
+    for override in [user, *map(_parse_set, overrides)]:
+        config = _merge(config, override)
     return config
-
-
-def _geometry(config: dict) -> msh.CellGeometry:
-    c = config["cell"]
-    return msh.CellGeometry(
-        a=float(c["a"]), b=float(c["b"]), angle_deg=float(c["angle_deg"]),
-        d1=float(c["d1"]), d2=float(c["d2"]),
-    )
 
 
 def _cell_mesh(config: dict, geom: msh.CellGeometry) -> msh.TriMesh:
     mc = config["mesh"]
     if mc["mode"] == "builtin":
-        mesh = msh.build_cell_mesh(geom, h=float(mc["h"]), n_arc=int(mc["n_arc"]))
-    elif mc["mode"] == "msh":
+        mesh = msh.build_cell_mesh(geom, h=mc["h"], n_arc=mc["n_arc"])
+    else:
         if not mc["msh_path"]:
             raise ValueError("mesh.mode 'msh' requires mesh.msh_path")
         sub_map = {int(k): v for k, v in (mc["subdomain_tags"] or {}).items()} or None
         bnd_map = {int(k): v for k, v in (mc["boundary_tags"] or {}).items()} or None
         mesh = msh.read_msh(mc["msh_path"], subdomain_map=sub_map, boundary_map=bnd_map)
-    else:
-        raise ValueError(f"unknown mesh.mode {mc['mode']!r}")
     return msh.periodic_pairs(mesh)
 
 
@@ -166,29 +176,33 @@ def _compile_u0(expr: str):
     return compile(tree, "<u0-expression>", "eval")
 
 
+_U0_PRESETS = {
+    "paper": "4.0/(1.0+exp(-100.0*(x1-0.5)))*x1*(1.0-x1)*sin(pi*x2)",
+    "zero": "0",
+}
+
+
 def _resolve_u0(selector):
-    if selector == "paper":
-        return lambda x1, x2: (
-            4.0 / (1.0 + np.exp(-100.0 * (x1 - 0.5))) * x1 * (1.0 - x1)
-            * np.sin(np.pi * x2)
-        )
-    if selector == "zero":
-        return lambda x1, x2: np.zeros_like(np.asarray(x1, dtype=float))
-    if isinstance(selector, dict) and "expression" in selector:
-        code = _compile_u0(selector["expression"])
-        names = {k: getattr(np, k) for k in _U0_FUNCTIONS + _U0_CONSTANTS}
+    """u0 of a preset name or of ``{"expression": ...}``."""
+    if isinstance(selector, dict):
+        expr = selector.get("expression")
+    else:
+        expr = _U0_PRESETS.get(selector)
+    if expr is None:
+        raise ValueError(f"unsupported u0 selector {selector!r}")
+    code = _compile_u0(expr)
+    names = {k: getattr(np, k) for k in _U0_FUNCTIONS + _U0_CONSTANTS}
 
-        def u0(x1, x2):
-            try:
-                value = eval(code, {"__builtins__": {}}, {**names, "x1": x1, "x2": x2})
-            except (ArithmeticError, TypeError) as err:
-                raise ValueError(f"u0 expression failed: {err}") from None
-            return np.broadcast_to(
-                np.asarray(value, dtype=float), np.asarray(x1).shape
-            ).copy()
+    def u0(x1, x2):
+        try:
+            value = eval(code, {"__builtins__": {}}, {**names, "x1": x1, "x2": x2})
+        except (ArithmeticError, TypeError) as err:
+            raise ValueError(f"u0 expression failed: {err}") from None
+        return np.broadcast_to(
+            np.asarray(value, dtype=float), np.asarray(x1).shape
+        ).copy()
 
-        return u0
-    raise ValueError(f"unsupported u0 selector {selector!r}")
+    return u0
 
 
 def _snapshot_stem(t: float, tau: float) -> str:
@@ -206,10 +220,9 @@ def _would_write(stage: str, config: dict) -> list[str]:
     if stage == "kernel":
         return ["kernel.json", "kernel_samples.csv"]
     files = ["summary.json", "energy.csv"]
-    fmts = config["output"]["formats"]
     for t_req in config["macro"]["snapshot_times"]:
-        stem = _snapshot_stem(float(t_req), float(config["macro"]["tau"]))
-        files += [f"{stem}.{ext}" for ext in ("vtk", "csv") if ext in fmts]
+        stem = _snapshot_stem(t_req, config["macro"]["tau"])
+        files += [f"{stem}.{ext}" for ext in config["output"]["formats"]]
     return files
 
 
@@ -219,7 +232,7 @@ def _check_solve_config(config: dict) -> None:
     into whole steps."""
     mac = config["macro"]
     _resolve_u0(mac["u0"])
-    tau, t_end = float(mac["tau"]), float(mac["t_end"])
+    tau, t_end = mac["tau"], mac["t_end"]
     if not (math.isfinite(tau) and tau > 0.0 and math.isfinite(t_end)):
         raise ValueError(
             f"macro.tau must be positive and finite and macro.t_end finite, "
@@ -265,7 +278,7 @@ def _dump_json(payload: dict, path: Path) -> None:
 
 
 def cmd_tensor(config: dict, outdir: Path) -> dict:
-    geom = _geometry(config)
+    geom = msh.CellGeometry(**config["cell"])
     mesh = _cell_mesh(config, geom)
     correctors = cell_mod.solve_correctors(mesh, geom)
     result = cell_mod.effective_tensor(correctors, geom)
@@ -277,10 +290,7 @@ def cmd_tensor(config: dict, outdir: Path) -> dict:
         "multipliers": [c.multiplier for c in correctors.components],
         "residuals": [c.residual for c in correctors.components],
         "mesh": {"n_vertices": mesh.n_vertices, "n_triangles": mesh.n_triangles},
-        "geometry": {
-            "a": geom.a, "b": geom.b, "angle_deg": geom.angle_deg,
-            "d1": geom.d1, "d2": geom.d2,
-        },
+        "geometry": config["cell"],
     }
     _dump_json(payload, outdir / "tensor.json")
     if config["output"]["write_correctors"]:
@@ -293,21 +303,15 @@ def cmd_tensor(config: dict, outdir: Path) -> dict:
 
 
 def cmd_kernel(config: dict, outdir: Path) -> dict:
-    geom = _geometry(config)
+    geom = msh.CellGeometry(**config["cell"])
     kc = config["kernel"]
     kmesh = kc["mesh"]
     if kmesh["mode"] == "inclusion":
-        mesh = msh.build_inclusion_mesh(
-            geom, h=float(kmesh["h"]), n_arc=int(kmesh["n_arc"])
-        )
-    elif kmesh["mode"] == "cell":
-        mesh = _cell_mesh(config, geom)
+        mesh = msh.build_inclusion_mesh(geom, h=kmesh["h"], n_arc=kmesh["n_arc"])
     else:
-        raise ValueError(f"unknown kernel.mesh.mode {kmesh['mode']!r}")
-    raw = kernel_mod.build_kernel(mesh, geom, int(kc["m"]))
-    filtered = kernel_mod.filter_kernel(
-        raw, float(kc["epsilon"]), fold=bool(kc["fold_rho"])
-    )
+        mesh = _cell_mesh(config, geom)
+    raw = kernel_mod.build_kernel(mesh, geom, kc["m"])
+    filtered = kernel_mod.filter_kernel(raw, kc["epsilon"], fold=kc["fold_rho"])
     kernel_mod.save_kernel_json(filtered, outdir / "kernel.json")
     if filtered.rates.size:
         t_hi = 20.0 / filtered.rates.min()
@@ -334,18 +338,17 @@ def cmd_solve(config: dict, outdir: Path) -> dict:
         tensor = np.asarray(json.load(fh)["d"], dtype=float)
     ker = kernel_mod.load_kernel_json(kernel_path)
 
-    mesh = msh.build_unit_square_mesh(int(mac["n"]))
+    mesh = msh.build_unit_square_mesh(mac["n"])
     problem = macro.MacroProblem(
         mesh=mesh,
         tensor=tensor,
         kernel=ker,
         u0=_resolve_u0(mac["u0"]),
-        tau=float(mac["tau"]),
-        t_end=float(mac["t_end"]),
-        sigma=float(mac["sigma"]),
+        tau=mac["tau"],
+        t_end=mac["t_end"],
+        sigma=mac["sigma"],
     )
-    snapshot_times = [float(t) for t in mac["snapshot_times"]]
-    result = macro.run(problem, snapshot_times=snapshot_times)
+    result = macro.run(problem, snapshot_times=mac["snapshot_times"])
 
     levels = np.arange(result.times.size)
     output.write_series_csv(
@@ -353,13 +356,11 @@ def cmd_solve(config: dict, outdir: Path) -> dict:
         {"n": levels, "t": result.times, "energy": result.energies,
          "l2_norm": result.l2_norms},
     )
-    fmts = config["output"]["formats"]
+    writers = {"vtk": output.write_vtk, "csv": output.write_snapshot_csv}
     for t_snap, field in result.snapshots:
         stem = _snapshot_stem(t_snap, problem.tau)
-        if "vtk" in fmts:
-            output.write_vtk(mesh, field, outdir / f"{stem}.vtk")
-        if "csv" in fmts:
-            output.write_snapshot_csv(mesh, field, outdir / f"{stem}.csv")
+        for ext in config["output"]["formats"]:
+            writers[ext](mesh, field, outdir / f"{stem}.{ext}")
 
     warnings_list = []
     if problem.conditionally_stable:
@@ -411,9 +412,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config, overrides=args.set)
-        if args.out is not None:
-            config["output"]["directory"] = args.out
-        outdir = Path(config["output"]["directory"])
+        outdir = Path(config["output"]["directory"] if args.out is None else args.out)
         stages = (
             ["tensor", "kernel", "solve"] if args.command == "pipeline"
             else [args.command]

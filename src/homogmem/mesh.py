@@ -599,6 +599,7 @@ def validate_mesh(mesh: TriMesh, expected_measure: float | None = None,
 _MSH_LINE = 1
 _MSH_TRIANGLE = 2
 _MSH_POINT = 15
+_MSH_NODE_COUNTS = {_MSH_LINE: 2, _MSH_TRIANGLE: 3, _MSH_POINT: 1}
 
 
 def read_msh(path, subdomain_map: dict[int, str] | None = None,
@@ -650,6 +651,8 @@ def read_msh(path, subdomain_map: dict[int, str] | None = None,
     coords = np.empty((n_nodes, 2))
     for k, ln in enumerate(node_lines[1:]):
         parts = ln.split()
+        if len(parts) != 4:
+            raise MeshFormatError(f"$Nodes line {ln!r} is not 'id x y z'")
         ids[k] = int(parts[0])
         coords[k] = (float(parts[1]), float(parts[2]))
     renum = {int(v): k for k, v in enumerate(ids)}
@@ -660,9 +663,20 @@ def read_msh(path, subdomain_map: dict[int, str] | None = None,
         raise MeshFormatError("element count does not match $Elements header")
     for ln in elem_lines[1:]:
         parts = [int(p) for p in ln.split()]
+        if len(parts) < 3:
+            raise MeshFormatError(f"$Elements line {ln!r} is too short")
         etype, ntags = parts[1], parts[2]
         phys = parts[3] if ntags >= 1 else 0
         nodes = parts[3 + ntags:]
+        if etype not in _MSH_NODE_COUNTS:
+            raise MeshFormatError(f"unsupported element type {etype}")
+        if len(nodes) != _MSH_NODE_COUNTS[etype]:
+            raise MeshFormatError(
+                f"$Elements line {ln!r} does not list {_MSH_NODE_COUNTS[etype]} nodes"
+            )
+        unknown = [v for v in nodes if v not in renum]
+        if unknown:
+            raise MeshFormatError(f"$Elements line {ln!r} names unknown nodes {unknown}")
         if etype == _MSH_POINT:
             continue
         if etype == _MSH_TRIANGLE:
@@ -675,8 +689,6 @@ def read_msh(path, subdomain_map: dict[int, str] | None = None,
                 raise MeshFormatError(f"unmapped physical group {phys} for a line")
             edges.append(sorted(renum[v] for v in nodes))
             tags.append(BOUNDARY_CODES[bnd_map[phys]])
-        else:
-            raise MeshFormatError(f"unsupported element type {etype}")
     if not tris:
         raise MeshFormatError("file contains no triangles")
 

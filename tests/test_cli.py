@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from homogmem import cli, errors, mesh as msh
@@ -28,6 +28,45 @@ def write_config(directory: Path, payload=None) -> Path:
     path = directory / "config.json"
     path.write_text(json.dumps(payload if payload is not None else SMALL_CONFIG))
     return path
+
+
+def nested(path: str, value) -> dict:
+    """The config document that sets the dotted ``path`` to ``value``."""
+    for part in reversed(path.split(".")):
+        value = {part: value}
+    return value
+
+
+def leaves(tree: dict, prefix: str = ""):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from leaves(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value
+
+
+# JSON values by kind, and the kinds each config leaf accepts
+JSON_KINDS = {
+    "null": st.none(),
+    "string": st.text(max_size=8),
+    "bool": st.booleans(),
+    "integer": st.integers(-10**6, 10**6),
+    "number": st.floats(allow_nan=False, allow_infinity=False),
+    "list": st.lists(st.integers() | st.text(max_size=3), max_size=3),
+    "object": st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+}
+ACCEPTED_KINDS = {
+    path: {bool: {"bool"}, int: {"integer"}, float: {"integer", "number"},
+           str: {"string"}, list: {"list"}}.get(type(default))
+    for path, default in leaves(cli.DEFAULT_CONFIG)
+} | {
+    "mesh.msh_path": {"string", "null"},
+    "macro.tensor_path": {"string", "null"},
+    "macro.kernel_path": {"string", "null"},
+    "mesh.subdomain_tags": {"object", "null"},
+    "mesh.boundary_tags": {"object", "null"},
+    "macro.u0": {"string", "object"},
+}
 
 
 def load_schema(name: str) -> dict:
@@ -81,6 +120,36 @@ class TestConfig:
             cli.load_config(path, overrides=["macro.nope=1"])
         with pytest.raises(ValueError):
             cli.load_config(path, overrides=["macro.tau"])
+
+    def test_int_is_stored_as_float_where_the_default_is_a_float(self, tmp_path):
+        config = cli.load_config(write_config(tmp_path, {}),
+                                 overrides=["macro.tau=1"])
+        assert type(config["macro"]["tau"]) is float
+        assert config["macro"]["tau"] == 1.0
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_every_leaf_rejects_other_json_types(self, tmp_path, data):
+        path = data.draw(st.sampled_from(sorted(ACCEPTED_KINDS)))
+        kind = data.draw(st.sampled_from(sorted(set(JSON_KINDS)
+                                                - ACCEPTED_KINDS[path])))
+        value = data.draw(JSON_KINDS[kind])
+        document = tmp_path / "document.json"
+        document.write_text(json.dumps(nested(path, value)))
+        with pytest.raises(ValueError):
+            cli.load_config(document)
+        out = tmp_path / "out"
+        assert cli.main(["pipeline", "--config", str(write_config(tmp_path)),
+                         "--out", str(out),
+                         "--set", f"{path}={json.dumps(value)}"]) == 2
+        assert not out.exists()
+
+    def test_readme_lists_the_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+        assert (json.dumps(json.loads(block), sort_keys=True)
+                == json.dumps(cli.DEFAULT_CONFIG, sort_keys=True))
 
 
 class TestPipelineArtifacts:
@@ -269,6 +338,27 @@ class TestExitCodes:
                          "--set", 'mesh.mode="hexes"']) == 2
         assert cli.main(["kernel", "--config", str(config), "--out", str(out),
                          "--set", 'kernel.mesh.mode="hexes"']) == 2
+
+    @pytest.mark.parametrize("override", [
+        "macro.tau=null", "macro.n=2.5", "macro.n=true", 'kernel.m="5"',
+        'cell.d1="1"', "macro.snapshot_times=0", 'mesh.mode="bogus"',
+        'kernel.mesh.mode="bogus"', 'output.formats=["png"]', 'output.formats="vtk"',
+        pytest.param(f"macro.tau={10**400}", id="macro.tau=10**400"),
+    ])
+    def test_config_gate_exits_2_before_any_stage(self, tmp_path, override):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        rc = cli.main(["pipeline", "--config", str(config), "--out", str(out),
+                       "--set", override])
+        assert rc == 2
+        assert not out.exists()
+
+    def test_misspelled_config_key_exits_2_before_any_stage(self, tmp_path):
+        config = write_config(tmp_path, {
+            **SMALL_CONFIG, "macro": {**SMALL_CONFIG["macro"], "tua": 0.001}})
+        out = tmp_path / "out"
+        assert cli.main(["pipeline", "--config", str(config), "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_missing_inputs_exit_2(self, tmp_path):
         config = write_config(tmp_path)

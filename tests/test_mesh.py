@@ -437,3 +437,23 @@ class TestSerialization:
         )
         with pytest.raises(MeshFormatError):
             msh.read_msh(path)
+
+    @pytest.mark.parametrize("mutate, bad_line", [
+        (lambda f: f[:2], None),
+        (lambda f: f[:-1], None),
+        (lambda f: f[:-1] + ["999999"], None),
+        (None, "1 0.0"),
+    ], ids=["short-element", "two-node-triangle", "unknown-node", "short-node"])
+    def test_msh_rejects_malformed_lines(self, tmp_path, mutate, bad_line):
+        path = tmp_path / "cell.msh"
+        msh.write_msh(msh.build_unit_square_mesh(2), path)
+        lines = path.read_text().splitlines()
+        if mutate is None:
+            k = lines.index("$Nodes") + 2
+        else:
+            k = next(i for i, ln in enumerate(lines) if ln.split()[1:2] == ["2"])
+            bad_line = " ".join(mutate(lines[k].split()))
+        lines[k] = bad_line
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MeshFormatError, match=f"line '{bad_line}'"):
+            msh.read_msh(path)
