@@ -55,6 +55,5 @@ from .mesh import (  # noqa: F401
     read_msh,
     submesh,
     validate_mesh,
-    write_msh,
 )
 from .solvers import EigenPairs, smallest_eigenpairs, solve_spd  # noqa: F401

@@ -128,11 +128,11 @@ def _cell_mesh(config: dict, geom: msh.CellGeometry) -> msh.TriMesh:
     if mc["mode"] == "builtin":
         mesh = msh.build_cell_mesh(geom, h=mc["h"], n_arc=mc["n_arc"])
     else:
-        if not mc["msh_path"]:
-            raise ValueError("mesh.mode 'msh' requires mesh.msh_path")
         sub_map = {int(k): v for k, v in (mc["subdomain_tags"] or {}).items()} or None
         bnd_map = {int(k): v for k, v in (mc["boundary_tags"] or {}).items()} or None
         mesh = msh.read_msh(mc["msh_path"], subdomain_map=sub_map, boundary_map=bnd_map)
+        # the built-in mesher checks its own invariants; a file is checked here
+        msh.validate_mesh(mesh)
     return msh.periodic_pairs(mesh)
 
 
@@ -417,6 +417,8 @@ def main(argv=None) -> int:
             ["tensor", "kernel", "solve"] if args.command == "pipeline"
             else [args.command]
         )
+        if config["mesh"]["mode"] == "msh" and not config["mesh"]["msh_path"]:
+            raise ValueError("mesh.mode 'msh' requires mesh.msh_path")
         if "solve" in stages:
             _check_solve_config(config)
         _check_output_dir(outdir, stages, config, args.force)

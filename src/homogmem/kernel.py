@@ -8,7 +8,9 @@ truncation level because each a_k / lambda_k telescopes against r.
 """
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,13 +53,38 @@ class KernelApproximation:
         return float((self.amplitudes / self.rates).sum() + self.remainder)
 
 
+def _symmetry_classes(y2: TriMesh) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
+    """(Dirichlet tags, odd axes) of every symmetry class of ``y2``.
+
+    A mesh without symmetry-axis tags is one class, Dirichlet on its whole
+    boundary.  A mesh cut along symmetry axes has one class per subset of
+    them: a mode odd across an axis vanishes on it (Dirichlet there), an even
+    one has zero normal flux (natural there).  The even class comes first.
+    """
+    present = {int(t) for t in np.unique(y2.boundary_tags)}
+    axes = [msh.BOUNDARY_NAMES[t] for t in msh.SYMMETRY_AXES if t in present]
+    base = tuple(sorted(msh.BOUNDARY_NAMES[t] for t in present
+                        if t not in msh.SYMMETRY_AXES))
+    classes = []
+    for bits in itertools.product((False, True), repeat=len(axes)):
+        odd = tuple(axis for axis, flip in zip(axes, bits) if flip)
+        classes.append(((*base, *odd), odd))
+    return classes
+
+
 def build_kernel(cell: TriMesh, geom: CellGeometry | None, m: int,
                  d2: float | None = None) -> KernelApproximation:
     """Assemble the raw m-term kernel from the inclusion eigenproblem.
 
-    ``cell`` may be a full labeled cell mesh or one already restricted to
-    Y2; the Dirichlet condition is applied on the whole boundary of the Y2
-    submesh.  ``d2`` defaults to the geometry's inclusion coefficient.
+    ``cell`` may be a full labeled cell mesh, one already restricted to Y2,
+    or the quarter inclusion of ``mesh.build_inclusion_mesh``.  The Dirichlet
+    condition is applied on the boundary of the Y2 submesh; on a mesh cut
+    along the ellipse axes (tagged MAJOR_AXIS/MINOR_AXIS) the eigenproblem of
+    the whole inclusion splits into one problem per symmetry class (Klein
+    four-group for two axes), and the raw kernel keeps the lowest ``m``
+    eigenvalues over all classes.  Only the class even across every axis has
+    modes of nonzero mean; the others get amplitude exactly 0.  ``d2``
+    defaults to the geometry's inclusion coefficient.
     """
     if m < 0:
         raise ValueError(f"term count must be >= 0, got {m}")
@@ -67,7 +94,10 @@ def build_kernel(cell: TriMesh, geom: CellGeometry | None, m: int,
         y2 = cell
     else:
         y2, _ = msh.submesh(cell, msh.Y2)
-    measure = float(y2.areas.sum())
+    classes = _symmetry_classes(y2)
+    # each axis cut halves the inclusion and doubles the classes
+    copies = len(classes)
+    measure = copies * float(y2.areas.sum())
     if not 0.0 < measure < 1.0:
         raise ValueError(f"inclusion measure {measure} must lie in (0, 1)")
     prefactor = 1.0 / (1.0 - measure)
@@ -87,14 +117,47 @@ def build_kernel(cell: TriMesh, geom: CellGeometry | None, m: int,
 
     stiff = fem.assemble_stiffness(y2, d2)
     mass = fem.assemble_mass(y2)
-    tags = tuple(
-        sorted({msh.BOUNDARY_NAMES[int(t)] for t in np.unique(y2.boundary_tags)})
-    )
-    k_red, m_red, dofmap = fem.apply_constraints(y2, stiff, mass, dirichlet_tags=tags)
-    pairs = solvers.smallest_eigenpairs(k_red, m_red, m)
-    means = pairs.vectors.T @ dofmap.reduce(fem.integral_weights(y2))
+    blocks = []
+    for tags, odd in classes:
+        k_red, m_red, dofmap = fem.apply_constraints(y2, stiff, mass,
+                                                     dirichlet_tags=tags)
+        if k_red.shape[0]:
+            blocks.append((k_red, m_red, dofmap, odd))
+    sizes = [block[0].shape[0] for block in blocks]
+    if m > sum(sizes):
+        raise ValueError(f"requested {m} eigenpairs of a {sum(sizes)}-dof system")
 
-    rates = pairs.values
+    # Each class first gets its share of m with a margin.  Its uncomputed
+    # eigenvalues lie above its largest computed one, so a class is solved
+    # again, with twice the pairs, only while that one lies below the m-th
+    # smallest of the union and the class has pairs left.
+    counts = [min(m, n, math.ceil(1.25 * m / len(classes)) + 2) for n in sizes]
+    pairs = [None] * len(blocks)
+    while True:
+        for i, (k_red, m_red, _, _) in enumerate(blocks):
+            if pairs[i] is None or pairs[i].count < counts[i]:
+                pairs[i] = solvers.smallest_eigenpairs(k_red, m_red, counts[i])
+        values = np.concatenate([p.values for p in pairs])
+        cut = np.sort(values)[m - 1] if values.size >= m else np.inf
+        grow = [i for i, p in enumerate(pairs)
+                if p.count < sizes[i] and p.values[-1] < cut]
+        if not grow:
+            break
+        for i in grow:
+            counts[i] = min(2 * counts[i], sizes[i])
+
+    # an M-normalised even mode of the cut mesh extends by reflection to a
+    # mode of the whole inclusion with M-norm sqrt(copies) and copies times
+    # the mean, so its normalised mean is sqrt(copies) times the cut mean
+    weights = fem.integral_weights(y2)
+    means = np.concatenate([
+        np.zeros(p.count) if odd
+        else math.sqrt(copies) * (p.vectors.T @ dofmap.reduce(weights))
+        for p, (_, _, dofmap, odd) in zip(pairs, blocks)
+    ])
+    order = np.argsort(values, kind="stable")[:m]
+    rates = values[order]
+    means = means[order]
     amplitudes = prefactor * means**2 * rates
     captured = float((means**2).sum())
     raw_remainder = prefactor * (measure - captured)

@@ -27,7 +27,12 @@ SUBDOMAIN_CODES = {v: k for k, v in SUBDOMAIN_NAMES.items()}
 # boundary edge tags
 OUTER = 1
 INCLUSION = 2
-BOUNDARY_NAMES = {OUTER: "outer", INCLUSION: "inclusion"}
+# the straight sides of a quarter inclusion mesh (see build_inclusion_mesh)
+MAJOR_AXIS = 3
+MINOR_AXIS = 4
+SYMMETRY_AXES = (MAJOR_AXIS, MINOR_AXIS)
+BOUNDARY_NAMES = {OUTER: "outer", INCLUSION: "inclusion",
+                  MAJOR_AXIS: "major_axis", MINOR_AXIS: "minor_axis"}
 BOUNDARY_CODES = {v: k for k, v in BOUNDARY_NAMES.items()}
 
 PAIRING_TOL = 1e-9
@@ -50,7 +55,8 @@ class TriMesh:
     triangles : (nt, 3) int array, positively oriented
     subdomain : (nt,) int array of labels (OMEGA, Y1, Y2)
     boundary_edges : (ne, 2) int array (includes material interfaces)
-    boundary_tags : (ne,) int array of tags (OUTER, INCLUSION)
+    boundary_tags : (ne,) int array of tags (OUTER, INCLUSION, and on a
+        quarter inclusion MAJOR_AXIS, MINOR_AXIS)
     periodic_pairs : dict mapping slave vertex -> master vertex
     """
 
@@ -365,17 +371,42 @@ def build_cell_mesh(geom: CellGeometry, h: float, n_arc: int = 128) -> TriMesh:
     )
 
 
-def build_inclusion_mesh(geom: CellGeometry, h: float, n_arc: int = 256) -> TriMesh:
-    """Mesh the inclusion alone, symmetric under both ellipse-axis reflections.
+def _ring_segments(j, nr: int, quarter_arc: int) -> np.ndarray:
+    """Arc segments of ring ``j`` (radius j/nr) of the quarter unit disk."""
+    return np.maximum(1, np.round(quarter_arc * (np.asarray(j) / nr))).astype(np.int64)
 
-    A quarter unit disk is meshed with concentric rings (radial spacing set by
-    ``h`` along the major semi-axis, angular resolution by ``n_arc``), mirrored
-    exactly across both axes, scaled to the semi-axes, and rotated into place.
-    The exact mirror symmetry makes the assembled operators commute with the
-    ellipse reflections to rounding error, so eigenvector means of odd symmetry
-    classes vanish instead of picking up mesh noise.  The boundary vertices
-    coincide with ``geom.boundary_polygon(n_arc)``, hence the discrete
-    inclusion measure matches a cell mesh built with the same ``n_arc``.
+
+def _quarter_vertex_count(nr: int, quarter_arc: int) -> int:
+    """Vertices of the quarter disk, 1 + sum_j (segments_j + 1), without any
+    array of length ``nr``.
+
+    The segment count rises monotonically with j from 1 to ``quarter_arc``;
+    the first ring with s segments lies next to the rational threshold
+    (s - 1/2) nr / quarter_arc, so a few candidates around it settle each s.
+    """
+    s = np.arange(2, quarter_arc + 1, dtype=np.int64)
+    near = -((-(2 * s - 1) * nr) // (2 * quarter_arc))
+    cand = np.clip(near[:, None] + np.arange(-1, 3), 1, nr)
+    first = np.where(_ring_segments(cand, nr, quarter_arc) >= s[:, None],
+                     cand, nr + 1).min(axis=1)
+    return 1 + 2 * nr + int((nr + 1 - first).sum())
+
+
+def build_inclusion_mesh(geom: CellGeometry, h: float, n_arc: int = 256) -> TriMesh:
+    """Mesh one quarter of the inclusion, bounded by the two ellipse half-axes.
+
+    The inclusion is mirror-symmetric about both ellipse axes, so the kernel
+    stage solves its eigenproblem on this quarter, one symmetry class at a
+    time (``kernel.build_kernel``); the full inclusion is the quarter and its
+    three reflections.  A quarter unit disk is meshed with concentric rings
+    (radial spacing set by ``h`` along the major semi-axis, angular
+    resolution by ``n_arc``), scaled to the semi-axes, and rotated into
+    place.  The arc is tagged INCLUSION; its vertices are the quarter of
+    ``geom.boundary_polygon(n_arc)`` from the minor to the major semi-axis,
+    so four times the quarter's measure is the measure of a cell mesh built
+    with the same ``n_arc``.  The straight sides are tagged MAJOR_AXIS
+    (on the major semi-axis, local coordinate x = 0) and MINOR_AXIS (on the
+    minor semi-axis, y = 0); their vertices lie exactly on the axes.
     """
     if h <= 0.0:
         raise ValueError(f"target edge length must be positive, got {h}")
@@ -384,46 +415,24 @@ def build_inclusion_mesh(geom: CellGeometry, h: float, n_arc: int = 256) -> TriM
     quarter_arc = n_arc // 4
     nr = max(2, math.ceil(geom.a / h))
 
-    # quarter unit disk: center plus concentric rings, axis points exact
-    pts = [(0.0, 0.0)]
-    for j in range(1, nr + 1):
-        rho = j / nr
-        segs = max(1, round(quarter_arc * rho))
-        t = 0.5 * np.pi * np.arange(segs + 1) / segs
-        x = rho * np.cos(t)
-        y = rho * np.sin(t)
-        x[-1] = 0.0
-        pts.extend(zip(x, y))
-    quarter = np.array(pts)
-    tri = Delaunay(quarter)
+    # the whole point array is allocated first, so an absurd h fails before
+    # any work; then the centre and the rings, axis points exact
+    local = np.empty((_quarter_vertex_count(nr, quarter_arc), 2))
+    j = np.arange(1, nr + 1)
+    segs = _ring_segments(j, nr, quarter_arc)
+    per_ring = segs + 1
+    ring_start = np.cumsum(per_ring) - per_ring
+    seg = np.repeat(segs, per_ring)
+    k = np.arange(local.shape[0] - 1) - np.repeat(ring_start, per_ring)
+    t = 0.5 * np.pi * k / seg
+    rho = np.repeat(j / nr, per_ring)
+    local[0] = 0.0
+    local[1:, 0] = np.where(k == seg, 0.0, rho * np.cos(t))
+    local[1:, 1] = rho * np.sin(t)
+    tri = Delaunay(local)
     if np.asarray(tri.coplanar).size:
         raise GeometryError("quarter-disk triangulation dropped input points")
-    qtri = _fix_orientation(quarter, np.asarray(tri.simplices, dtype=np.int64))
-
-    # mirror into the full disk; axis points are shared, so dedupe with a key
-    # that ignores the sign of an exactly-zero coordinate
-    index: dict[tuple[int, int, int], int] = {}
-    verts: list[tuple[float, float]] = []
-
-    def global_index(i: int, s1: int, s2: int) -> int:
-        key = (i, s1 if quarter[i, 0] != 0.0 else 1,
-               s2 if quarter[i, 1] != 0.0 else 1)
-        g = index.get(key)
-        if g is None:
-            g = len(verts)
-            index[key] = g
-            verts.append((key[1] * quarter[i, 0], key[2] * quarter[i, 1]))
-        return g
-
-    tris = []
-    for s1, s2 in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
-        for tri_v in qtri:
-            mapped = [global_index(int(v), s1, s2) for v in tri_v]
-            if s1 * s2 < 0:
-                mapped[1], mapped[2] = mapped[2], mapped[1]
-            tris.append(mapped)
-    local = np.array(verts)
-    triangles = np.array(tris, dtype=np.int64)
+    triangles = _fix_orientation(local, np.asarray(tri.simplices, dtype=np.int64))
 
     points = (local * np.array([geom.b, geom.a])) @ geom.local_frame().T
     points += np.asarray(geom.center)
@@ -433,10 +442,18 @@ def build_inclusion_mesh(geom: CellGeometry, h: float, n_arc: int = 256) -> TriM
 
     uniq, _, counts = _edge_incidence(triangles)
     boundary_edges = uniq[counts == 1]
-    if boundary_edges.shape[0] != n_arc:
-        raise GeometryError("inclusion mesh boundary does not close the ellipse")
-    poly_area = 0.5 * n_arc * math.sin(2.0 * np.pi / n_arc) * geom.a * geom.b
-    if abs(float(areas.sum()) - poly_area) > 1e-10 * poly_area:
+    ends = local[boundary_edges]
+    boundary_tags = np.select(
+        [(ends[:, :, 0] == 0.0).all(axis=1), (ends[:, :, 1] == 0.0).all(axis=1)],
+        [MAJOR_AXIS, MINOR_AXIS], INCLUSION,
+    )
+    if (boundary_tags == INCLUSION).sum() != quarter_arc or (
+        (boundary_tags == MAJOR_AXIS).sum() != nr
+        or (boundary_tags == MINOR_AXIS).sum() != nr
+    ):
+        raise GeometryError("inclusion mesh boundary does not close the quarter")
+    quarter_area = 0.125 * n_arc * math.sin(2.0 * np.pi / n_arc) * geom.a * geom.b
+    if abs(float(areas.sum()) - quarter_area) > 1e-10 * quarter_area:
         raise GeometryError("inclusion mesh area mismatch")
 
     return TriMesh(
@@ -444,7 +461,7 @@ def build_inclusion_mesh(geom: CellGeometry, h: float, n_arc: int = 256) -> TriM
         triangles=triangles,
         subdomain=np.full(triangles.shape[0], Y2, dtype=np.int64),
         boundary_edges=boundary_edges,
-        boundary_tags=np.full(boundary_edges.shape[0], INCLUSION, dtype=np.int64),
+        boundary_tags=boundary_tags,
     )
 
 
@@ -607,8 +624,11 @@ def read_msh(path, subdomain_map: dict[int, str] | None = None,
     """Read the ASCII MSH 2.2 subset: nodes, 2-node lines, 3-node triangles.
 
     Physical-group integers select subdomain labels for triangles and tags
-    for boundary lines through the two maps (defaults mirror write_msh).
-    Point elements are ignored; anything else raises MeshFormatError.
+    for boundary lines through the two maps (by default the codes of
+    ``SUBDOMAIN_NAMES`` and of OUTER and INCLUSION).  Point elements are
+    ignored; anything else raises MeshFormatError.  Each subdomain is turned
+    counterclockwise as a whole, so a triangle listed against the
+    orientation of the rest of its subdomain comes back negative.
     """
     sub_map = {0: "Omega", 1: "Y1", 2: "Y2"} if subdomain_map is None else subdomain_map
     bnd_map = {1: "outer", 2: "inclusion"} if boundary_map is None else boundary_map
@@ -692,7 +712,14 @@ def read_msh(path, subdomain_map: dict[int, str] | None = None,
     if not tris:
         raise MeshFormatError("file contains no triangles")
 
-    triangles = _fix_orientation(coords, np.asarray(tris, dtype=np.int64))
+    # a mesher orients all triangles of a surface one way: turn each
+    # subdomain counterclockwise as a whole, so that a triangle listed
+    # against its neighbours stays negative for validate_mesh to reject
+    triangles = np.asarray(tris, dtype=np.int64)
+    subdomain = np.asarray(sub, dtype=int)
+    turn = np.bincount(subdomain, weights=_signed_areas(coords[triangles]))
+    flip = turn[subdomain] < 0.0
+    triangles[flip] = triangles[flip][:, [0, 2, 1]]
     if edges:
         boundary_edges = np.asarray(edges, dtype=np.int64)
         boundary_tags = np.asarray(tags, dtype=int)
@@ -703,30 +730,7 @@ def read_msh(path, subdomain_map: dict[int, str] | None = None,
     return TriMesh(
         vertices=coords,
         triangles=triangles,
-        subdomain=np.asarray(sub, dtype=int),
+        subdomain=subdomain,
         boundary_edges=boundary_edges,
         boundary_tags=boundary_tags,
     )
-
-
-def write_msh(mesh: TriMesh, path) -> None:
-    """Write the mesh as ASCII MSH 2.2 with physical = subdomain/tag codes."""
-    with open(path, "w") as fh:
-        fh.write("$MeshFormat\n2.2 0 8\n$EndMeshFormat\n")
-        fh.write(f"$Nodes\n{mesh.n_vertices}\n")
-        for k, (x, y) in enumerate(mesh.vertices, start=1):
-            fh.write(f"{k} {float(x)!r} {float(y)!r} 0\n")
-        fh.write("$EndNodes\n")
-        n_elem = mesh.n_triangles + mesh.boundary_edges.shape[0]
-        fh.write(f"$Elements\n{n_elem}\n")
-        eid = 1
-        for (va, vb), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-            fh.write(f"{eid} 1 2 {int(tag)} {int(tag)} {va + 1} {vb + 1}\n")
-            eid += 1
-        for tri, lab in zip(mesh.triangles, mesh.subdomain):
-            fh.write(
-                f"{eid} 2 2 {int(lab)} {int(lab)} "
-                f"{tri[0] + 1} {tri[1] + 1} {tri[2] + 1}\n"
-            )
-            eid += 1
-        fh.write("$EndElements\n")

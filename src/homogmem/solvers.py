@@ -6,8 +6,9 @@ zero-mean corrector system.  Each is factorised once with SuperLU
 (``factorize``) and every solve checks its true residual, so a singular
 matrix, a non-finite right-hand side or an unmet tolerance raises
 ConvergenceError.  Smallest eigenpairs of K phi = lambda M phi come from
-shift-invert ARPACK at shift 0 (dense LAPACK below a size threshold), with
-deterministic start vectors and a sign convention of nonnegative mean.
+shift-invert ARPACK at shift 0 (dense LAPACK for small systems or large
+counts), with deterministic start vectors and a sign convention of
+nonnegative mean.
 """
 from __future__ import annotations
 
@@ -22,7 +23,11 @@ import scipy.sparse.linalg as spla
 from .errors import ConvergenceError
 
 _SEED = 1729
-_DENSE_LIMIT = 800
+# Dense LAPACK costs O(n^3) whatever the count, shift-invert Lanczos about
+# one sparse solve per Lanczos vector: below _DENSE_LIMIT dofs, or for more
+# than one pair in _DENSE_SHARE dofs, the dense solve is the faster one.
+_DENSE_LIMIT = 200
+_DENSE_SHARE = 8
 
 
 @dataclass(frozen=True)
@@ -115,7 +120,7 @@ def smallest_eigenpairs(k: sp.spmatrix, m: sp.spmatrix, count: int,
     if count > n:
         raise ValueError(f"requested {count} eigenpairs of a {n}-dof system")
 
-    if n <= _DENSE_LIMIT or count > n - 2:
+    if n < _DENSE_LIMIT or count > n // _DENSE_SHARE:
         kd = k.toarray() if sp.issparse(k) else np.asarray(k, dtype=float)
         md = m.toarray() if sp.issparse(m) else np.asarray(m, dtype=float)
         values, vectors = scipy.linalg.eigh(kd, md, subset_by_index=(0, count - 1))

@@ -41,7 +41,7 @@ def coarse_correctors(coarse_cell_mesh):
 
 @pytest.fixture(scope="session")
 def inclusion_mesh_fine():
-    """Kernel-stage mesh: reflection-symmetric, h=1/160, 384 boundary arcs."""
+    """Kernel-stage mesh: the quarter inclusion, h=1/160, 384 boundary arcs."""
     return msh.build_inclusion_mesh(REF_GEOM, 1.0 / 160, n_arc=384)
 
 

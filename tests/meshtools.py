@@ -1,0 +1,74 @@
+"""Mesh helpers the tests share: the full inclusion disk mirrored from the
+quarter that ``build_inclusion_mesh`` returns, and an MSH 2.2 writer for
+``read_msh`` fixtures."""
+import numpy as np
+
+from homogmem import mesh as msh
+
+# reflection signs (major-axis side x, minor-axis side y) of the four copies
+_COPIES = ((1, 1), (-1, 1), (1, -1), (-1, -1))
+
+
+def mirror_quarter(quarter: msh.TriMesh, geom: msh.CellGeometry) -> msh.TriMesh:
+    """The full inclusion mesh: ``quarter`` and its reflections across both
+    ellipse axes, with the axis vertices shared and the arc tagged INCLUSION.
+
+    Vertex i of the quarter has the index ``copy * nv + i`` in the copy that
+    flips the signs of ``_COPIES[copy]``; a vertex on an axis keeps the sign
+    of the first copy in that coordinate, and unused indices are dropped.
+    """
+    nv = quarter.n_vertices
+    frame = geom.local_frame()
+    local = (quarter.vertices - np.asarray(geom.center)) @ frame
+    on_axis = np.zeros((nv, 2), dtype=bool)
+    for col, tag in enumerate((msh.MAJOR_AXIS, msh.MINOR_AXIS)):
+        on_axis[quarter.boundary_edges[quarter.boundary_tags == tag], col] = True
+
+    vertices = np.empty((4 * nv, 2))
+    index = np.empty((4, nv), dtype=np.int64)
+    for c, signs in enumerate(_COPIES):
+        kept = np.where(on_axis, 1, np.array(signs))
+        index[c] = ((kept[:, 1] < 0) * 2 + (kept[:, 0] < 0)) * nv + np.arange(nv)
+        vertices[c * nv:(c + 1) * nv] = (local * signs) @ frame.T + geom.center
+    vertices[:nv] = quarter.vertices
+    used, renum = np.unique(index, return_inverse=True)
+    renum = renum.reshape(4, nv)
+
+    triangles, arcs = [], []
+    arc = quarter.boundary_edges[quarter.boundary_tags == msh.INCLUSION]
+    for c, (s1, s2) in enumerate(_COPIES):
+        tri = renum[c][quarter.triangles]
+        triangles.append(tri if s1 * s2 > 0 else tri[:, [0, 2, 1]])
+        arcs.append(np.sort(renum[c][arc], axis=1))
+    triangles = np.vstack(triangles)
+    boundary_edges = np.vstack(arcs)
+    return msh.TriMesh(
+        vertices=vertices[used],
+        triangles=triangles,
+        subdomain=np.full(triangles.shape[0], msh.Y2, dtype=np.int64),
+        boundary_edges=boundary_edges,
+        boundary_tags=np.full(boundary_edges.shape[0], msh.INCLUSION, dtype=np.int64),
+    )
+
+
+def write_msh(mesh: msh.TriMesh, path) -> None:
+    """Write the mesh as ASCII MSH 2.2 with physical = subdomain/tag codes."""
+    with open(path, "w") as fh:
+        fh.write("$MeshFormat\n2.2 0 8\n$EndMeshFormat\n")
+        fh.write(f"$Nodes\n{mesh.n_vertices}\n")
+        for k, (x, y) in enumerate(mesh.vertices, start=1):
+            fh.write(f"{k} {float(x)!r} {float(y)!r} 0\n")
+        fh.write("$EndNodes\n")
+        n_elem = mesh.n_triangles + mesh.boundary_edges.shape[0]
+        fh.write(f"$Elements\n{n_elem}\n")
+        eid = 1
+        for (va, vb), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
+            fh.write(f"{eid} 1 2 {int(tag)} {int(tag)} {va + 1} {vb + 1}\n")
+            eid += 1
+        for tri, lab in zip(mesh.triangles, mesh.subdomain):
+            fh.write(
+                f"{eid} 2 2 {int(lab)} {int(lab)} "
+                f"{tri[0] + 1} {tri[1] + 1} {tri[2] + 1}\n"
+            )
+            eid += 1
+        fh.write("$EndElements\n")

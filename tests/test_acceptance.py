@@ -6,7 +6,7 @@ discretizations and are left red on purpose (see README "Known deviations"):
 the effective-tensor table in criterion 1 lies above the variational upper
 bound d1 that every conforming discretization of the perforated cell
 problem satisfies, and the reference dropped-mass value in criterion 4 is
-tied to discretization noise that a reflection-symmetric mesh removes.
+tied to discretization noise that the symmetry-block kernel solve removes.
 """
 import time
 

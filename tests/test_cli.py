@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from homogmem import cli, errors, mesh as msh
+from meshtools import write_msh
 
 SMALL_CONFIG = {
     "cell": {"a": 0.3, "b": 0.15, "angle_deg": 20.0, "d1": 1.0, "d2": 1.0},
@@ -312,7 +313,7 @@ class TestStages:
         geom = msh.CellGeometry(a=0.3, b=0.15, angle_deg=20.0)
         mesh = msh.build_cell_mesh(geom, h=1.0 / 24, n_arc=64)
         msh_path = tmp_path / "cell.msh"
-        msh.write_msh(mesh, msh_path)
+        write_msh(mesh, msh_path)
         out2 = tmp_path / "msh_out"
         rc = cli.main([
             "tensor", "--config", str(config), "--out", str(out2),
@@ -431,6 +432,51 @@ class TestExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    # sizes whose quarter-disk point array cannot be allocated
+    @pytest.mark.parametrize("h", ["1e-9", "3e-9"])
+    def test_hostile_kernel_mesh_size_exits_2_in_one_line(self, tmp_path, capsys, h):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        rc = cli.main(["kernel", "--config", str(config), "--out", str(out),
+                       "--set", f"kernel.mesh.h={h}"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_msh_mode_without_path_exits_2_before_any_stage(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        rc = cli.main(["tensor", "--config", str(config), "--out", str(out),
+                       "--set", 'mesh.mode="msh"'])
+        assert rc == 2
+        assert "requires mesh.msh_path" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("defect", ["duplicated", "flipped"])
+    def test_invalid_msh_mesh_exits_2(self, tmp_path, capsys, defect):
+        geom = msh.CellGeometry(a=0.3, b=0.15, angle_deg=20.0)
+        msh_path = tmp_path / "cell.msh"
+        write_msh(msh.build_cell_mesh(geom, h=1.0 / 24, n_arc=64), msh_path)
+        lines = msh_path.read_text().splitlines()
+        k = next(i for i, ln in enumerate(lines) if ln.split()[1:2] == ["2"])
+        parts = lines[k].split()
+        if defect == "duplicated":  # one triangle listed twice, under a new id
+            start = lines.index("$Elements") + 1
+            lines[start] = str(int(lines[start]) + 1)
+            lines.insert(k + 1, " ".join([str(10**6)] + parts[1:]))
+        else:  # one triangle listed clockwise among counterclockwise ones
+            lines[k] = " ".join(parts[:-2] + parts[-1:] + parts[-2:-1])
+        msh_path.write_text("\n".join(lines) + "\n")
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        rc = cli.main(["tensor", "--config", str(config), "--out", str(out),
+                       "--set", 'mesh.mode="msh"',
+                       "--set", f'mesh.msh_path="{msh_path}"'])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (out / "tensor.json").exists()
 
     def test_u0_reaching_object_internals_exits_2_before_any_stage(self, tmp_path):
         config = write_config(tmp_path)

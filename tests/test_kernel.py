@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homogmem import kernel as ker, mesh as msh
+from homogmem import kernel as ker, mesh as msh, solvers
+from meshtools import mirror_quarter
 
 
 def make_kernel(amps, rates, r=0.0, y2=0.2):
@@ -110,6 +111,65 @@ class TestBuildKernel:
             ker.build_kernel(full, None, 2)
 
 
+def assert_matches_oracle(block, oracle):
+    """The block path agrees with the full-disk oracle, and its odd-class
+    amplitudes (rounding noise in the oracle) are exactly zero."""
+    scale = oracle.amplitudes.max()
+    np.testing.assert_allclose(block.rates, oracle.rates, rtol=1e-10)
+    np.testing.assert_allclose(block.amplitudes, oracle.amplitudes,
+                               rtol=1e-10, atol=1e-10 * scale)
+    assert block.remainder == pytest.approx(oracle.remainder, abs=1e-12)
+    assert block.remainder_raw == pytest.approx(oracle.remainder_raw, abs=1e-12)
+    assert block.y2_measure == pytest.approx(oracle.y2_measure, rel=1e-14)
+    odd = oracle.amplitudes < 1e-12 * scale
+    assert (block.amplitudes[odd] == 0.0).all()
+    assert (block.amplitudes[~odd] > 0.0).all()
+    assert (ker.filter_kernel(block, 1e-5).kept_count
+            == ker.filter_kernel(oracle, 1e-5).kept_count)
+
+
+class TestSymmetryBlocks:
+    """The quarter inclusion, solved one symmetry class at a time, against
+    the full disk mirrored from it as the oracle."""
+
+    @pytest.fixture(scope="class", params=[15.0, 33.3])
+    def meshes(self, request):
+        geom = msh.CellGeometry(a=0.3, b=0.2, angle_deg=request.param)
+        quarter = msh.build_inclusion_mesh(geom, 1.0 / 60, n_arc=128)
+        return geom, quarter, mirror_quarter(quarter, geom)
+
+    @pytest.mark.parametrize("m", [4, 17, 100])
+    def test_block_path_matches_full_disk(self, meshes, m):
+        geom, quarter, full = meshes
+        assert_matches_oracle(ker.build_kernel(quarter, geom, m),
+                              ker.build_kernel(full, geom, m))
+
+    def test_undersized_class_is_solved_again(self, monkeypatch):
+        # a quarter of the rectangle (-L, L) x (-W, W) with W << L: the lowest
+        # modes are all even across the long axis, so the two classes even
+        # there hold half of them each, more than their first share
+        geom = msh.CellGeometry(a=0.4, b=0.04, angle_deg=0.0)
+        base = msh.build_unit_square_mesh(24, label=msh.Y2)
+        ends = base.vertices[base.boundary_edges]
+        tags = np.select([(ends[:, :, 0] == 0.0).all(axis=1),
+                          (ends[:, :, 1] == 0.0).all(axis=1)],
+                         [msh.MAJOR_AXIS, msh.MINOR_AXIS], msh.INCLUSION)
+        quarter = replace(base, vertices=base.vertices * [0.4, 0.04] + 0.5,
+                          boundary_tags=tags)
+        counts = []
+
+        def spy(k, m, count, tol=1e-8):
+            counts.append(count)
+            return smallest_eigenpairs(k, m, count, tol)
+
+        smallest_eigenpairs = solvers.smallest_eigenpairs
+        monkeypatch.setattr(solvers, "smallest_eigenpairs", spy)
+        block = ker.build_kernel(quarter, geom, 16)
+        assert len(counts) > 4  # one solve per class, then at least one more
+        assert_matches_oracle(block, ker.build_kernel(
+            mirror_quarter(quarter, geom), geom, 16))
+
+
 class TestFilter:
     def test_zero_threshold_keeps_everything(self, small_inclusion, small_geom):
         raw = ker.build_kernel(small_inclusion, small_geom, 8)
@@ -147,8 +207,8 @@ class TestFilter:
             ker.filter_kernel(make_kernel([1.0], [1.0]), -1e-9)
 
     def test_reference_filter_drops_almost_nothing(self, filtered_kernel):
-        # the centered-ellipse symmetry forces odd-mode means to vanish, so
-        # every dropped amplitude is pure rounding noise; the dropped mass
+        # the centered-ellipse symmetry forces odd-mode means to vanish (the
+        # odd symmetry blocks get amplitude exactly 0), so the dropped mass
         # can only be far below the filter threshold, never above it
         assert 0.0 <= filtered_kernel.dropped_mass <= 7.2e-6
         assert filtered_kernel.kept_count < filtered_kernel.raw_count

@@ -10,6 +10,7 @@ from scipy.spatial import Delaunay
 
 from homogmem import mesh as msh
 from homogmem.errors import GeometryError, MeshFormatError, PeriodicityError
+from meshtools import mirror_quarter, write_msh
 
 
 def polygon_area(points):
@@ -272,32 +273,68 @@ class TestCellMeshMatchesDenseReference:
                 np.testing.assert_array_equal(g, w)
 
 
+def full_inclusion(geom, h, n_arc):
+    return mirror_quarter(msh.build_inclusion_mesh(geom, h, n_arc=n_arc), geom)
+
+
 class TestInclusionMesh:
     def test_valid_pure_inclusion(self, ref_geom):
-        mesh = msh.build_inclusion_mesh(ref_geom, 1.0 / 24, n_arc=64)
+        mesh = full_inclusion(ref_geom, 1.0 / 24, n_arc=64)
         msh.validate_mesh(mesh)
         assert (mesh.subdomain == msh.Y2).all()
         assert (mesh.boundary_tags == msh.INCLUSION).all()
         assert mesh.boundary_edges.shape[0] == 64
 
     def test_measure_matches_inscribed_polygon(self, ref_geom):
-        mesh = msh.build_inclusion_mesh(ref_geom, 1.0 / 24, n_arc=64)
+        mesh = full_inclusion(ref_geom, 1.0 / 24, n_arc=64)
         exact = 0.5 * 64 * math.sin(2 * math.pi / 64) * ref_geom.a * ref_geom.b
         assert mesh.areas.sum() == pytest.approx(exact, rel=1e-12)
 
     def test_measure_matches_cell_mesh(self, ref_geom, coarse_cell_mesh):
-        mesh = msh.build_inclusion_mesh(ref_geom, 1.0 / 24, n_arc=128)
+        mesh = full_inclusion(ref_geom, 1.0 / 24, n_arc=128)
         assert mesh.areas.sum() == pytest.approx(
             coarse_cell_mesh.subdomain_measure(msh.Y2), rel=1e-12
         )
 
     def test_reflection_symmetry_of_vertex_set(self, ref_geom):
-        mesh = msh.build_inclusion_mesh(ref_geom, 1.0 / 24, n_arc=64)
+        mesh = full_inclusion(ref_geom, 1.0 / 24, n_arc=64)
         local = (mesh.vertices - np.array(ref_geom.center)) @ ref_geom.local_frame()
         key = {tuple(np.round(p, 12)) for p in local}
         for sx, sy in ((-1, 1), (1, -1), (-1, -1)):
             mirrored = {tuple(np.round(p * np.array([sx, sy]), 12)) for p in local}
             assert mirrored == key
+
+    @pytest.mark.parametrize("h, n_arc, angle", [
+        (1.0 / 24, 64, 30.0), (1.0 / 40, 8, 0.0), (0.00625, 384, 33.3),
+    ])
+    def test_quarter_is_cut_along_both_axes(self, h, n_arc, angle):
+        geom = msh.CellGeometry(a=0.4, b=0.2, angle_deg=angle)
+        quarter = msh.build_inclusion_mesh(geom, h, n_arc=n_arc)
+        msh.validate_mesh(quarter)
+        local = (quarter.vertices - np.array(geom.center)) @ geom.local_frame()
+        assert (local >= -1e-15).all()
+        ends = local[quarter.boundary_edges]
+        nr = math.ceil(geom.a / h)
+        for tag, col, count in ((msh.MAJOR_AXIS, 0, nr), (msh.MINOR_AXIS, 1, nr),
+                                (msh.INCLUSION, None, n_arc // 4)):
+            sel = quarter.boundary_tags == tag
+            assert sel.sum() == count
+            if col is not None:
+                assert np.abs(ends[sel][:, :, col]).max() <= 1e-15
+        arc = np.unique(quarter.boundary_edges[quarter.boundary_tags == msh.INCLUSION])
+        poly = geom.boundary_polygon(n_arc)[: n_arc // 4 + 1]
+        np.testing.assert_allclose(
+            np.sort(quarter.vertices[arc], axis=0), np.sort(poly, axis=0), atol=1e-15
+        )
+        exact = 0.125 * n_arc * math.sin(2 * math.pi / n_arc) * geom.a * geom.b
+        assert quarter.areas.sum() == pytest.approx(exact, rel=1e-12)
+
+    def test_vertex_count_without_ring_arrays(self):
+        for quarter_arc in (2, 3, 16, 17, 96):
+            for nr in (2, 3, 31, 32, 33, 64, 100, 1000, 1024):
+                segs = msh._ring_segments(np.arange(1, nr + 1), nr, quarter_arc)
+                assert msh._quarter_vertex_count(nr, quarter_arc) == 1 + int(
+                    (segs + 1).sum())
 
     def test_arc_count_must_be_multiple_of_four(self, ref_geom):
         with pytest.raises(GeometryError):
@@ -405,7 +442,7 @@ class TestValidateMesh:
 class TestSerialization:
     def test_msh_roundtrip(self, coarse_cell_mesh, tmp_path):
         path = tmp_path / "cell.msh"
-        msh.write_msh(coarse_cell_mesh, path)
+        write_msh(coarse_cell_mesh, path)
         back = msh.read_msh(path)
         np.testing.assert_allclose(back.vertices, coarse_cell_mesh.vertices)
         np.testing.assert_array_equal(back.triangles, coarse_cell_mesh.triangles)
@@ -446,7 +483,7 @@ class TestSerialization:
     ], ids=["short-element", "two-node-triangle", "unknown-node", "short-node"])
     def test_msh_rejects_malformed_lines(self, tmp_path, mutate, bad_line):
         path = tmp_path / "cell.msh"
-        msh.write_msh(msh.build_unit_square_mesh(2), path)
+        write_msh(msh.build_unit_square_mesh(2), path)
         lines = path.read_text().splitlines()
         if mutate is None:
             k = lines.index("$Nodes") + 2

@@ -106,15 +106,23 @@ class TestSolveSpd:
 
 
 class TestSmallestEigenpairs:
-    def test_square_membrane_modes_dense_path(self):
+    def test_square_membrane_modes_dense_path(self, monkeypatch):
         # lambda_mn = pi^2 (m^2 + n^2): 2, 5, 5, 8, 10, 10 times pi^2; the
         # P1 discretization error is O(lambda h^2), about 2.5% for the sixth
         # mode at n=20, and conforming approximations converge from above
-        k, m = laplacian_system(20)  # 361 dofs -> dense branch
-        pairs = solvers.smallest_eigenpairs(k, m, 6)
+        k, m = laplacian_system(20)  # 361 dofs, 50 pairs -> dense branch
+        monkeypatch.setattr(solvers.spla, "eigsh", None)
+        pairs = solvers.smallest_eigenpairs(k, m, 50)
         ref = np.pi**2 * np.array([2.0, 5.0, 5.0, 8.0, 10.0, 10.0])
-        np.testing.assert_allclose(pairs.values, ref, rtol=3e-2)
-        assert (pairs.values >= ref - 1e-9).all()
+        np.testing.assert_allclose(pairs.values[:6], ref, rtol=3e-2)
+        assert (pairs.values[:6] >= ref - 1e-9).all()
+
+    def test_few_pairs_of_a_few_hundred_dofs_use_shift_invert(self, monkeypatch):
+        k, m = laplacian_system(20)  # 361 dofs, 6 pairs -> shift-invert branch
+        dense = solvers.smallest_eigenpairs(k, m, 50)
+        monkeypatch.setattr(solvers.scipy.linalg, "eigh", None)
+        pairs = solvers.smallest_eigenpairs(k, m, 6)
+        np.testing.assert_allclose(pairs.values, dense.values[:6], rtol=1e-10)
 
     def test_square_membrane_modes_sparse_path(self):
         k, m = laplacian_system(40)  # 1521 dofs -> shift-invert branch
