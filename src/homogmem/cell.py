@@ -63,7 +63,7 @@ def _y1_submesh(cell: TriMesh) -> TriMesh:
         sub = cell
     else:
         sub, _ = msh.submesh(cell, msh.Y1)
-    if not sub.periodic_pairs:
+    if not sub.periodic_pairs.size:
         raise ValueError("cell mesh lacks periodic pairing; call periodic_pairs first")
     return sub
 
@@ -79,7 +79,7 @@ def solve_correctors(cell: TriMesh, geom: CellGeometry) -> CorrectorSolution:
     """
     y1 = _y1_submesh(cell)
     a_red, dofmap = fem.apply_constraints(
-        y1, fem.assemble_stiffness(y1, geom.d1), periodic=True, zero_mean=True
+        y1, fem.assemble_stiffness(y1, geom.d1), zero_mean=True
     )
     solve = solvers.factorize(a_red, _SOLVER_TOL)
     components = []

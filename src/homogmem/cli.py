@@ -226,24 +226,49 @@ def _would_write(stage: str, config: dict) -> list[str]:
     return files
 
 
-def _check_solve_config(config: dict) -> None:
-    """Reject, before any stage runs, a u0 that does not resolve and a macro
-    step that is not positive and finite or does not divide a finite t_end
-    into whole steps."""
-    mac = config["macro"]
+def _check_config(config: dict, stages: list[str]) -> None:
+    """Reject, before any stage runs, the values that a stage in ``stages``
+    would refuse only once it runs, after earlier stages have written their
+    artifacts; the library keeps its own checks of the same values."""
+    if config["mesh"]["mode"] == "msh" and not config["mesh"]["msh_path"]:
+        raise ValueError("mesh.mode 'msh' requires mesh.msh_path")
+    if "tensor" in stages or "kernel" in stages:
+        msh.CellGeometry(**config["cell"])
+    if "kernel" in stages:
+        kc = config["kernel"]
+        if kc["m"] < 0:
+            raise ValueError(f"kernel.m must be >= 0, got {kc['m']}")
+        if not kc["epsilon"] >= 0.0:
+            raise ValueError(f"kernel.epsilon must be >= 0, got {kc['epsilon']}")
+    if "solve" in stages:
+        _check_solve_config(config["macro"])
+
+
+def _check_solve_config(mac: dict) -> None:
+    """Reject a u0 that does not resolve, a macro step that is not positive
+    and finite or does not divide a finite t_end >= 0 into whole steps, a
+    sigma outside [0, 1], a mesh of no cells and a snapshot time outside
+    [0, t_end]."""
     _resolve_u0(mac["u0"])
     tau, t_end = mac["tau"], mac["t_end"]
-    if not (math.isfinite(tau) and tau > 0.0 and math.isfinite(t_end)):
-        raise ValueError(
-            f"macro.tau must be positive and finite and macro.t_end finite, "
-            f"got tau={mac['tau']}, t_end={mac['t_end']}"
-        )
+    if not (math.isfinite(tau) and tau > 0.0):
+        raise ValueError(f"macro.tau must be positive and finite, got {tau}")
+    if not (math.isfinite(t_end) and t_end >= 0.0):
+        raise ValueError(f"macro.t_end must be finite and >= 0, got {t_end}")
     levels = t_end / tau
-    if abs(levels - round(levels)) > 1e-9 * levels:
+    if not math.isfinite(levels) or abs(levels - round(levels)) > 1e-9 * levels:
         raise ValueError(
             f"macro.t_end={mac['t_end']} is not a whole number of steps of "
             f"macro.tau={mac['tau']}"
         )
+    if not 0.0 <= mac["sigma"] <= 1.0:
+        raise ValueError(f"macro.sigma must lie in [0, 1], got {mac['sigma']}")
+    if mac["n"] < 1:
+        raise ValueError(f"macro.n must be >= 1, got {mac['n']}")
+    for t in mac["snapshot_times"]:
+        if not (math.isfinite(t / tau) and 0 <= round(t / tau) <= round(levels)):
+            raise ValueError(f"macro.snapshot_times entry {t} lies outside "
+                             f"[0, macro.t_end={t_end}]")
 
 
 def _check_output_dir(outdir: Path, stages: list[str], config: dict, force: bool):
@@ -417,10 +442,7 @@ def main(argv=None) -> int:
             ["tensor", "kernel", "solve"] if args.command == "pipeline"
             else [args.command]
         )
-        if config["mesh"]["mode"] == "msh" and not config["mesh"]["msh_path"]:
-            raise ValueError("mesh.mode 'msh' requires mesh.msh_path")
-        if "solve" in stages:
-            _check_solve_config(config)
+        _check_config(config, stages)
         _check_output_dir(outdir, stages, config, args.force)
         runners = {"tensor": cmd_tensor, "kernel": cmd_kernel, "solve": cmd_solve}
         for stage in stages:

@@ -150,31 +150,20 @@ def integral_weights(mesh: TriMesh) -> np.ndarray:
     return w
 
 
-def _resolve_masters(pairs: dict[int, int]) -> dict[int, int]:
-    out = {}
-    for s, m in pairs.items():
-        seen = {s}
-        while m in pairs:
-            m = pairs[m]
-            if m in seen:
-                raise ValueError("periodic slave->master map has a cycle")
-            seen.add(m)
-        out[s] = m
-    return out
-
-
 def apply_constraints(mesh: TriMesh, *matrices: sp.spmatrix,
-                      dirichlet_tags=(), periodic: bool = False,
-                      zero_mean: bool = False):
+                      dirichlet_tags=(), zero_mean: bool = False):
     """Reduce each of ``matrices`` by one set of Dirichlet/periodic/zero-mean
     constraints.
 
     Homogeneous Dirichlet vertices (on boundary edges carrying one of
-    ``dirichlet_tags``, given by name) are eliminated; periodic slave rows
-    and columns are folded onto their masters; ``zero_mean`` borders every
-    reduced matrix with the row of basis integrals and one Lagrange
-    multiplier.  Returns the reduced matrices in order, then the DofMap
-    whose ``reduce`` folds load vectors onto the same system.
+    ``dirichlet_tags``, given by name) are eliminated; the slave row and
+    column of every (slave, master) row of ``mesh.periodic_pairs`` are
+    folded onto the master, so a mesh without pairs folds nothing;
+    ``zero_mean`` borders every reduced matrix with the row of basis
+    integrals and one Lagrange multiplier.  A master that is itself a slave,
+    or a pair that touches a Dirichlet vertex, is a ValueError.  Returns the
+    reduced matrices in order, then the DofMap whose ``reduce`` folds load
+    vectors onto the same system.
     """
     nv = mesh.n_vertices
     if any(a.shape != (nv, nv) for a in matrices):
@@ -192,24 +181,20 @@ def apply_constraints(mesh: TriMesh, *matrices: sp.spmatrix,
             raise ValueError(f"no boundary edges tagged {tuple(dirichlet_tags)}")
         dirichlet = np.unique(mesh.boundary_edges[sel])
 
-    pairs = {}
-    if periodic:
-        if not mesh.periodic_pairs:
-            raise ValueError("mesh has no periodic pairing")
-        pairs = _resolve_masters(mesh.periodic_pairs)
-        overlap = set(pairs) & set(dirichlet.tolist())
-        if overlap:
-            raise ValueError(f"vertices both Dirichlet and periodic slaves: {sorted(overlap)}")
-
-    rep = np.arange(nv, dtype=np.int64)
-    for s, m in pairs.items():
-        rep[s] = m
-
+    pairs = mesh.periodic_pairs
+    slaves, masters = pairs.T
+    chained = np.isin(masters, slaves)
+    if chained.any():
+        raise ValueError(f"periodic masters {np.unique(masters[chained]).tolist()} "
+                         "are slaves themselves")
     is_dirichlet = np.zeros(nv, dtype=bool)
     is_dirichlet[dirichlet] = True
-    bad = [s for s, m in pairs.items() if is_dirichlet[m]]
-    if bad:
-        raise ValueError(f"slave vertices {sorted(bad)} have Dirichlet masters")
+    touched = is_dirichlet[pairs].any(axis=1)
+    if touched.any():
+        raise ValueError(f"periodic pairs {pairs[touched].tolist()} touch "
+                         "Dirichlet vertices")
+    rep = np.arange(nv, dtype=np.int64)
+    rep[slaves] = masters
 
     keep = ~is_dirichlet & (rep == np.arange(nv))
     dof_of = -np.ones(nv, dtype=np.int64)

@@ -234,13 +234,29 @@ def kernel_to_json(kernel: KernelApproximation) -> dict:
 
 
 def kernel_from_json(data: dict) -> KernelApproximation:
+    """Kernel of a JSON payload.  The energy estimate of the macro scheme
+    needs a_k >= 0, lambda_k > 0 and r >= 0, so a payload with a non-finite
+    term or remainder, a value outside those ranges, or a y2_measure outside
+    (0, 1) is a ValueError."""
     terms = np.asarray(data["terms"], dtype=float).reshape(-1, 2)
+    remainder = float(data["r"])
+    y2_measure = float(data["y2_measure"])
+    if not (np.isfinite(terms).all() and math.isfinite(remainder)):
+        raise ValueError("kernel terms and remainder r must be finite")
+    if (terms[:, 0] < 0.0).any():
+        raise ValueError(f"kernel amplitudes must be >= 0, got {terms[:, 0].min()}")
+    if (terms[:, 1] <= 0.0).any():
+        raise ValueError(f"kernel rates must be > 0, got {terms[:, 1].min()}")
+    if remainder < 0.0:
+        raise ValueError(f"kernel remainder r must be >= 0, got {remainder}")
+    if not 0.0 < y2_measure < 1.0:
+        raise ValueError(f"kernel y2_measure {y2_measure} must lie in (0, 1)")
     return KernelApproximation(
         amplitudes=terms[:, 0],
         rates=terms[:, 1],
-        remainder=float(data["r"]),
+        remainder=remainder,
         remainder_raw=float(data.get("r_raw", data["r"])),
-        y2_measure=float(data["y2_measure"]),
+        y2_measure=y2_measure,
         raw_count=int(data["m"]),
         kept_count=int(data["m_eps"]),
         filter_threshold=data.get("epsilon"),

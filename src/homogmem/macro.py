@@ -114,10 +114,6 @@ class MacroState:
     n: int
     ops: _StepOperator = field(repr=False)
 
-    @property
-    def t(self) -> float:
-        return self.n * self.ops.tau
-
 
 def _project_initial(problem: MacroProblem, ops: _StepOperator) -> np.ndarray:
     """L2 projection of u0 via the mass system and a 3-midpoint edge rule."""

@@ -57,7 +57,9 @@ class TriMesh:
     boundary_edges : (ne, 2) int array (includes material interfaces)
     boundary_tags : (ne,) int array of tags (OUTER, INCLUSION, and on a
         quarter inclusion MAJOR_AXIS, MINOR_AXIS)
-    periodic_pairs : dict mapping slave vertex -> master vertex
+    periodic_pairs : (n_pairs, 2) int64 array of (slave, master) vertex
+        rows, ascending by slave; empty unless ``periodic_pairs(mesh)``
+        filled it
     """
 
     vertices: np.ndarray
@@ -65,7 +67,8 @@ class TriMesh:
     subdomain: np.ndarray
     boundary_edges: np.ndarray
     boundary_tags: np.ndarray
-    periodic_pairs: dict[int, int] = field(default_factory=dict)
+    periodic_pairs: np.ndarray = field(
+        default_factory=lambda: np.zeros((0, 2), dtype=np.int64))
 
     @property
     def n_vertices(self) -> int:
@@ -108,8 +111,10 @@ class CellGeometry:
             raise GeometryError(
                 f"semi-axes must satisfy 0 < b <= a, got a={self.a}, b={self.b}"
             )
-        if self.d1 <= 0.0 or self.d2 <= 0.0:
-            raise GeometryError("diffusion coefficients must be positive")
+        if not (0.0 < self.d1 < math.inf and 0.0 < self.d2 < math.inf):
+            raise GeometryError("diffusion coefficients must be positive and finite")
+        if not math.isfinite(self.angle_deg):
+            raise GeometryError(f"inclusion angle must be finite, got {self.angle_deg}")
         cx, cy = self.center
         ex, ey = self.extents()
         if cx - ex <= 0.0 or cx + ex >= 1.0 or cy - ey <= 0.0 or cy + ey >= 1.0:
@@ -465,69 +470,36 @@ def build_inclusion_mesh(geom: CellGeometry, h: float, n_arc: int = 256) -> TriM
     )
 
 
-def _match_sides(slave_v, slave_key, master_v, master_key, tol, axis_name):
-    if slave_v.size != master_v.size:
-        raise PeriodicityError(
-            f"{axis_name}: {slave_v.size} vertices face {master_v.size}"
-        )
-    so = np.argsort(slave_key)
-    mo = np.argsort(master_key)
-    gap = np.abs(slave_key[so] - master_key[mo])
-    if slave_v.size and gap.max() > tol:
-        raise PeriodicityError(
-            f"{axis_name}: opposite-edge vertex mismatch {gap.max():.3e} > {tol:.1e}"
-        )
-    return dict(zip(slave_v[so].tolist(), master_v[mo].tolist()))
+def periodic_pairs(mesh: TriMesh) -> TriMesh:
+    """Return a copy of the mesh with its (slave, master) periodic pairs.
 
-
-def periodic_pairs(mesh: TriMesh, tol: float = PAIRING_TOL) -> TriMesh:
-    """Return a copy of the mesh with slave->master periodic pairs filled.
-
-    Right and top edges are slaves of left and bottom; the three non-origin
-    corners all map to the corner at the origin.  Any outer vertex without a
-    partner within ``tol`` raises PeriodicityError.
+    Every outer vertex on the right or top side is a slave: translated by
+    one cell width off each of those sides it lies on, it must land within
+    PAIRING_TOL of a left or bottom vertex, its master.  A master on k of
+    the left/bottom sides takes exactly 2**k - 1 slaves, so each side
+    vertex pairs one to one and the three non-origin corners all map to the
+    corner at the origin.  A vertex off the frame, a gap above tolerance or
+    sides that do not pair one to one raise PeriodicityError.
     """
-    outer_vertices = np.unique(mesh.boundary_edges[mesh.boundary_tags == OUTER])
-    if outer_vertices.size == 0:
+    outer = np.unique(mesh.boundary_edges[mesh.boundary_tags == OUTER])
+    if outer.size == 0:
         raise PeriodicityError("mesh has no outer boundary to pair")
-    x = mesh.vertices[outer_vertices, 0]
-    y = mesh.vertices[outer_vertices, 1]
-    on_l = np.abs(x) <= tol
-    on_r = np.abs(x - 1.0) <= tol
-    on_b = np.abs(y) <= tol
-    on_t = np.abs(y - 1.0) <= tol
-    if not (on_l | on_r | on_b | on_t).all():
+    xy = mesh.vertices[outer]
+    low = np.abs(xy) <= PAIRING_TOL  # columns: on the left, on the bottom
+    high = np.abs(xy - 1.0) <= PAIRING_TOL  # on the right, on the top
+    if not (low | high).any(axis=1).all():
         raise PeriodicityError("outer boundary vertex off the unit square frame")
-
-    corners = {}
-    for name, mask in (("00", on_l & on_b), ("10", on_r & on_b),
-                       ("01", on_l & on_t), ("11", on_r & on_t)):
-        idx = outer_vertices[mask]
-        if idx.size != 1:
-            raise PeriodicityError(f"expected exactly one corner vertex at {name}")
-        corners[name] = int(idx[0])
-
-    pairs: dict[int, int] = {
-        corners["10"]: corners["00"],
-        corners["01"]: corners["00"],
-        corners["11"]: corners["00"],
-    }
-    interior_r = on_r & ~on_b & ~on_t
-    interior_l = on_l & ~on_b & ~on_t
-    interior_t = on_t & ~on_l & ~on_r
-    interior_b = on_b & ~on_l & ~on_r
-    pairs.update(
-        _match_sides(
-            outer_vertices[interior_r], y[interior_r],
-            outer_vertices[interior_l], y[interior_l], tol, "right/left",
+    slave = high.any(axis=1)
+    master = low.any(axis=1) & ~slave
+    gap, nearest = cKDTree(xy[master]).query(xy[slave] - high[slave])
+    if gap.max(initial=0.0) > PAIRING_TOL:
+        raise PeriodicityError(
+            f"opposite-side vertex mismatch {gap.max():.3e} > {PAIRING_TOL:.1e}"
         )
-    )
-    pairs.update(
-        _match_sides(
-            outer_vertices[interior_t], x[interior_t],
-            outer_vertices[interior_b], x[interior_b], tol, "top/bottom",
-        )
-    )
+    taken = np.bincount(nearest, minlength=int(master.sum()))
+    if not np.array_equal(taken, 2 ** low[master].sum(axis=1) - 1):
+        raise PeriodicityError("opposite sides do not pair one to one")
+    pairs = np.column_stack([outer[slave], outer[master][nearest]])
     return replace(mesh, periodic_pairs=pairs)
 
 
@@ -561,24 +533,19 @@ def submesh(mesh: TriMesh, labels) -> tuple[TriMesh, np.ndarray]:
     found[found] = parent_keys[pos[found]] == query[found]
     tags = np.full(query.size, OUTER, dtype=int)
     tags[found] = mesh.boundary_tags[order[pos[found]]]
-    pairs = {
-        int(renum[s]): int(renum[m])
-        for s, m in mesh.periodic_pairs.items()
-        if renum[s] >= 0 and renum[m] >= 0
-    }
+    pairs = renum[mesh.periodic_pairs]
     sub = TriMesh(
         vertices=mesh.vertices[vmap],
         triangles=new_tris,
         subdomain=mesh.subdomain[keep],
         boundary_edges=open_edges,
         boundary_tags=tags,
-        periodic_pairs=pairs,
+        periodic_pairs=pairs[(pairs >= 0).all(axis=1)],
     )
     return sub, vmap
 
 
-def validate_mesh(mesh: TriMesh, expected_measure: float | None = None,
-                  pair_tol: float = 1e-10) -> None:
+def validate_mesh(mesh: TriMesh) -> None:
     """Check orientation, conformity, tags, and periodic-pair geometry."""
     if mesh.areas.min() <= 0.0:
         raise ValueError("mesh has a non-positively-oriented triangle")
@@ -598,19 +565,15 @@ def validate_mesh(mesh: TriMesh, expected_measure: float | None = None,
         raise ValueError(f"boundary edge {key} not present in the mesh")
     if not np.isin(mesh.subdomain, [OMEGA, Y1, Y2]).all():
         raise ValueError("unknown subdomain label")
-    if expected_measure is not None:
-        total = float(mesh.areas.sum())
-        if abs(total - expected_measure) > 1e-12 * max(1.0, expected_measure):
-            raise ValueError(
-                f"triangle areas sum to {total!r}, expected {expected_measure!r}"
-            )
-    for s, m in mesh.periodic_pairs.items():
-        delta = mesh.vertices[s] - mesh.vertices[m]
-        snapped = np.round(delta)
-        if np.abs(delta - snapped).max() > pair_tol or not snapped.any():
-            raise ValueError(f"pair {s}->{m} offset {delta} is not a unit translation")
-        if not np.isin(snapped, [-1.0, 0.0, 1.0]).all():
-            raise ValueError(f"pair {s}->{m} offset {delta} exceeds one cell")
+    slaves, masters = mesh.periodic_pairs.T
+    delta = mesh.vertices[slaves] - mesh.vertices[masters]
+    snapped = np.round(delta)
+    off = (np.abs(delta - snapped) > PAIRING_TOL) | (np.abs(snapped) > 1.0)
+    bad = off.any(axis=1) | ~snapped.any(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"pair {slaves[i]}->{masters[i]} offset {delta[i]} "
+                         "is not a translation by one cell")
 
 
 _MSH_LINE = 1

@@ -354,6 +354,63 @@ class TestExitCodes:
         assert rc == 2
         assert not out.exists()
 
+    # values of the right type that a stage would refuse only after earlier
+    # stages had written their artifacts
+    @pytest.mark.parametrize("override, message", [
+        ("macro.sigma=2.0", "macro.sigma must lie in"),
+        ("macro.n=0", "macro.n must be >= 1"),
+        ("macro.snapshot_times=[5.0]", "macro.snapshot_times entry 5.0"),
+        ("macro.snapshot_times=[1e308]", "macro.snapshot_times entry 1e+308"),
+        ("macro.t_end=-0.02", "macro.t_end must be finite and >= 0"),
+        ("macro.t_end=1e308", "not a whole number of steps"),
+        ("kernel.m=-1", "kernel.m must be >= 0"),
+        ("kernel.epsilon=-1.0", "kernel.epsilon must be >= 0"),
+        ("cell.a=0.6", "not strictly inside the unit cell"),
+        ("cell.b=0.5", "semi-axes must satisfy"),
+        ("cell.d1=NaN", "diffusion coefficients must be positive and finite"),
+        ("cell.d2=Infinity", "diffusion coefficients must be positive and finite"),
+        ("cell.angle_deg=NaN", "inclusion angle must be finite"),
+    ])
+    def test_value_range_gate_exits_2_before_any_stage(self, tmp_path, capsys,
+                                                       override, message):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        rc = cli.main(["pipeline", "--config", str(config), "--out", str(out),
+                       "--set", override])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_value_range_gate_checks_only_the_stages_that_run(self, tmp_path):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main(["tensor", "--config", str(config), "--out", str(out),
+                         "--set", "macro.n=0", "--set", "kernel.m=-1"]) == 0
+        assert (out / "tensor.json").exists()
+
+    # a kernel file is outside input: one the energy estimate does not cover
+    # is refused before the macro problem is built; tests/test_kernel.py
+    # covers every range
+    @pytest.mark.parametrize("mutation", [
+        {"terms": [[-1.0, 5.0]]}, {"terms": [[1.0, -5.0]]},
+        {"terms": [[float("nan"), 5.0]]}, {"r": -1.5},
+    ], ids=["negative-amplitude", "negative-rate", "nan-amplitude", "negative-r"])
+    def test_invalid_kernel_file_exits_2(self, pipeline_run, tmp_path, capsys,
+                                         mutation):
+        config, out = pipeline_run
+        payload = {**json.loads((out / "kernel.json").read_text()), **mutation}
+        kernel_path = tmp_path / "kernel.json"
+        kernel_path.write_text(json.dumps(payload))
+        out2 = tmp_path / "solve"
+        rc = cli.main([
+            "solve", "--config", str(config), "--out", str(out2),
+            "--set", f'macro.tensor_path="{out / "tensor.json"}"',
+            "--set", f'macro.kernel_path="{kernel_path}"',
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: kernel")
+        assert not (out2 / "summary.json").exists()
+
     def test_misspelled_config_key_exits_2_before_any_stage(self, tmp_path):
         config = write_config(tmp_path, {
             **SMALL_CONFIG, "macro": {**SMALL_CONFIG["macro"], "tua": 0.001}})

@@ -1,4 +1,6 @@
 """P1 assembly against hand-computed elements and algebraic identities."""
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -110,7 +112,7 @@ class TestConstraints:
 
     def test_periodic_folding_reduces_size(self, coarse_cell_mesh):
         k = fem.assemble_stiffness(coarse_cell_mesh, 1.0)
-        k_red, dofmap = fem.apply_constraints(coarse_cell_mesh, k, periodic=True)
+        k_red, dofmap = fem.apply_constraints(coarse_cell_mesh, k)
         n_slaves = len(coarse_cell_mesh.periodic_pairs)
         assert dofmap.n_dofs == coarse_cell_mesh.n_vertices - n_slaves
         assert k_red.shape == (dofmap.n_dofs, dofmap.n_dofs)
@@ -124,7 +126,7 @@ class TestConstraints:
         k = fem.assemble_stiffness(mesh, 1.0)
         m = fem.assemble_mass(mesh)
         k_red, m_red, dofmap = fem.apply_constraints(
-            mesh, k, m, periodic=True, zero_mean=True
+            mesh, k, m, zero_mean=True
         )
         assert dofmap.multiplier_index == dofmap.n_dofs
         assert k_red.shape == (dofmap.n_dofs + 1, dofmap.n_dofs + 1)
@@ -138,14 +140,14 @@ class TestConstraints:
 
     def test_expand_restrict_roundtrip(self, coarse_cell_mesh):
         k = fem.assemble_stiffness(coarse_cell_mesh, 1.0)
-        _, dofmap = fem.apply_constraints(coarse_cell_mesh, k, periodic=True)
+        _, dofmap = fem.apply_constraints(coarse_cell_mesh, k)
         x = np.sin(np.arange(dofmap.n_dofs))
         full = dofmap.expand(x)
         free = dofmap.vertex_to_dof >= 0
         back = np.empty(dofmap.n_dofs)
         back[dofmap.vertex_to_dof[free]] = full[free]
         assert np.array_equal(back, x)
-        for s, m in coarse_cell_mesh.periodic_pairs.items():
+        for s, m in coarse_cell_mesh.periodic_pairs:
             assert full[s] == full[m]
         # reduce is the transpose of expand: f . expand(x) == reduce(f) . x
         f = np.cos(np.arange(coarse_cell_mesh.n_vertices))
@@ -153,7 +155,7 @@ class TestConstraints:
 
     def test_multiplier_requires_border(self, coarse_cell_mesh):
         k = fem.assemble_stiffness(coarse_cell_mesh, 1.0)
-        _, dofmap = fem.apply_constraints(coarse_cell_mesh, k, periodic=True)
+        _, dofmap = fem.apply_constraints(coarse_cell_mesh, k)
         with pytest.raises(ValueError):
             dofmap.multiplier(np.zeros(dofmap.n_dofs))
 
@@ -162,11 +164,19 @@ class TestConstraints:
         with pytest.raises(ValueError):
             fem.apply_constraints(coarse_cell_mesh, k, dirichlet_tags=("lid",))
 
-    def test_periodic_without_pairs_rejected(self):
+    def test_chained_pairs_rejected(self):
         mesh = msh.build_unit_square_mesh(3)
-        k = fem.assemble_stiffness(mesh, 1.0)
-        with pytest.raises(ValueError):
-            fem.apply_constraints(mesh, k, periodic=True)
+        # the master of 3 -> 0 is itself the slave of 0 -> 15
+        chained = dataclasses.replace(
+            mesh, periodic_pairs=np.array([[0, 15], [3, 0]], dtype=np.int64))
+        with pytest.raises(ValueError, match="slaves themselves"):
+            fem.apply_constraints(chained, fem.assemble_stiffness(mesh, 1.0))
+
+    def test_pair_on_dirichlet_vertex_rejected(self):
+        mesh = msh.periodic_pairs(msh.build_unit_square_mesh(3))
+        with pytest.raises(ValueError, match="Dirichlet"):
+            fem.apply_constraints(mesh, fem.assemble_stiffness(mesh, 1.0),
+                                  dirichlet_tags=("outer",))
 
     def test_shape_mismatch_rejected(self):
         mesh = msh.build_unit_square_mesh(3)

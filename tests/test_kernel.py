@@ -303,6 +303,24 @@ class TestSerialization:
         assert np.array_equal(back.rates, kern.rates)
         assert back.total_weight == pytest.approx(kern.total_weight, rel=1e-14)
 
+    @pytest.mark.parametrize("mutation, message", [
+        ({"terms": [[1.5, 2.0], [float("nan"), 3.0]]}, "finite"),
+        ({"terms": [[1.5, float("inf")]]}, "finite"),
+        ({"r": float("nan")}, "finite"),
+        ({"terms": [[-1e-3, 2.0]]}, "amplitudes"),
+        ({"terms": [[1.5, 0.0]]}, "rates"),
+        ({"terms": [[1.5, -2.0]]}, "rates"),
+        ({"r": -1.5}, "remainder"),
+        ({"y2_measure": 0.0}, "y2_measure"),
+        ({"y2_measure": 1.0}, "y2_measure"),
+        ({"y2_measure": float("nan")}, "y2_measure"),
+    ])
+    def test_payload_outside_the_stable_ranges_rejected(self, mutation, message):
+        payload = {"terms": [[1.5, 2.0]], "r": 0.25, "m": 1, "m_eps": 1,
+                   "y2_measure": 0.3}
+        with pytest.raises(ValueError, match=message):
+            ker.kernel_from_json({**payload, **mutation})
+
     def test_minimal_payload_defaults(self):
         kern = ker.kernel_from_json({
             "terms": [[1.5, 2.0]], "r": 0.25, "m": 1, "m_eps": 1,

@@ -100,7 +100,7 @@ class TestUnitSquareMesh:
         assert mesh.boundary_edges.shape[0] == 16
         assert (mesh.boundary_tags == msh.OUTER).all()
         assert (mesh.subdomain == msh.OMEGA).all()
-        msh.validate_mesh(mesh, expected_measure=1.0)
+        msh.validate_mesh(mesh)
 
     def test_label_override(self):
         mesh = msh.build_unit_square_mesh(3, label=msh.Y1)
@@ -114,7 +114,8 @@ class TestUnitSquareMesh:
 class TestCellMesh:
     def test_valid_and_labeled(self, coarse_cell_mesh, ref_geom):
         mesh = coarse_cell_mesh
-        msh.validate_mesh(mesh, expected_measure=1.0)
+        msh.validate_mesh(mesh)
+        assert abs(mesh.areas.sum() - 1.0) <= 1e-12
         measure = mesh.subdomain_measure(msh.Y2)
         assert measure == pytest.approx(ref_geom.inclusion_measure, rel=1e-3)
         assert mesh.subdomain_measure(msh.Y1) + measure == pytest.approx(1.0)
@@ -345,11 +346,30 @@ class TestInclusionMesh:
             msh.build_inclusion_mesh(ref_geom, 0.0)
 
 
+def split_boundary_edge(mesh, a, b):
+    """The mesh with a new vertex at the midpoint of boundary edge (a, b),
+    a < b, splitting the one triangle on that edge."""
+    v = mesh.n_vertices
+    vertices = np.vstack([mesh.vertices, mesh.vertices[[a, b]].mean(axis=0)])
+    k = np.flatnonzero(np.isin(mesh.triangles, [a, b]).sum(axis=1) == 2)[0]
+    t = mesh.triangles[k]
+    halves = np.array([np.where(t == b, v, t), np.where(t == a, v, t)])
+    edge = np.flatnonzero((mesh.boundary_edges == [a, b]).all(axis=1))[0]
+    edges = np.vstack([np.delete(mesh.boundary_edges, edge, axis=0), [[a, v], [v, b]]])
+    return dataclasses.replace(
+        mesh, vertices=vertices,
+        triangles=np.vstack([np.delete(mesh.triangles, k, axis=0), halves]),
+        subdomain=np.append(mesh.subdomain, mesh.subdomain[k]),
+        boundary_edges=edges,
+        boundary_tags=np.append(np.delete(mesh.boundary_tags, edge), [msh.OUTER] * 2),
+    )
+
+
 class TestPeriodicPairs:
     def test_pairs_are_unit_translations(self, coarse_cell_mesh):
         mesh = coarse_cell_mesh
-        assert mesh.periodic_pairs
-        for s, m in mesh.periodic_pairs.items():
+        assert mesh.periodic_pairs.size
+        for s, m in mesh.periodic_pairs:
             delta = mesh.vertices[s] - mesh.vertices[m]
             np.testing.assert_allclose(delta, np.round(delta), atol=1e-12)
             assert np.abs(np.round(delta)).max() == 1.0
@@ -359,6 +379,24 @@ class TestPeriodicPairs:
         # right column (n+1) + top row (n+1) - shared corner counted once,
         # with all four corners folding onto the origin
         assert len(mesh.periodic_pairs) == 2 * 4 + 1
+
+    def test_exact_pairs_of_a_small_square(self):
+        # vertex 3j + i sits at (i/2, j/2); right and top pair onto left and
+        # bottom, and the three other corners onto the origin
+        mesh = msh.periodic_pairs(msh.build_unit_square_mesh(2))
+        np.testing.assert_array_equal(
+            mesh.periodic_pairs, [[2, 0], [5, 3], [6, 0], [7, 1], [8, 0]])
+        assert mesh.periodic_pairs.dtype == np.int64
+
+    def test_unpaired_side_vertex_raises(self):
+        mesh = msh.build_unit_square_mesh(2)
+        # a vertex on the right side only has no partner on the left; one on
+        # the left side only leaves its master without a slave
+        for a, b, match in ((2, 5, "mismatch"), (0, 3, "one to one")):
+            split = split_boundary_edge(mesh, a, b)
+            msh.validate_mesh(split)
+            with pytest.raises(PeriodicityError, match=match):
+                msh.periodic_pairs(split)
 
     def test_mismatched_sides_raise(self):
         mesh = msh.build_unit_square_mesh(4)
@@ -433,10 +471,18 @@ class TestValidateMesh:
             with pytest.raises(ValueError, match="not present"):
                 msh.validate_mesh(bad)
 
-    def test_wrong_measure_rejected(self):
-        mesh = msh.build_unit_square_mesh(2)
-        with pytest.raises(ValueError):
-            msh.validate_mesh(mesh, expected_measure=2.0)
+    def test_pair_off_a_unit_translation_rejected(self):
+        mesh = msh.periodic_pairs(msh.build_unit_square_mesh(2))
+        msh.validate_mesh(mesh)
+        # vertex 4 is the centre, 3 the middle of the left side
+        for pair in ([4, 3], [4, 4]):  # half a cell; no offset
+            bad = dataclasses.replace(mesh, periodic_pairs=np.array([pair]))
+            with pytest.raises(ValueError, match="translation by one cell"):
+                msh.validate_mesh(bad)
+        # every pair of a cell stretched to twice its size spans two cells
+        wide = dataclasses.replace(mesh, vertices=2.0 * mesh.vertices)
+        with pytest.raises(ValueError, match="translation by one cell"):
+            msh.validate_mesh(wide)
 
 
 class TestSerialization:
