@@ -3,8 +3,9 @@
 The corrector theta_i solves the pure-diffusion problem on the matrix part
 Y1 of the cell, driven by the unit gradient e_i, with periodic conditions
 on the cell frame, a natural (zero-flux) condition on the inclusion
-boundary, and zero mean enforced through a Lagrange multiplier.  The
-effective tensor averages the corrected gradients over Y1.
+boundary, and zero mean (one dof pinned, mean subtracted, compatibility
+multiplier in closed form).  The effective tensor averages the corrected
+gradients over Y1.
 """
 from __future__ import annotations
 
@@ -72,27 +73,30 @@ def solve_correctors(cell: TriMesh, geom: CellGeometry) -> CorrectorSolution:
     """Solve the periodic cell problem for both unit-gradient directions.
 
     ``cell`` is the full cell mesh (Y1/Y2 labeled, periodic pairs filled) or
-    an already-restricted Y1 mesh.  The bordered zero-mean matrix is shared
-    by both directions and factorised once; each component holds nodal
-    values on the Y1 submesh, the zero-mean multiplier, and the achieved
-    relative residual.
+    an already-restricted Y1 mesh.  A x + c mu = b, c'x = 0 (c the basis
+    integrals) has mu = sum(b) / sum(c), as 1'A = 0; b - mu c is then in the
+    range of A, so dof 0 is held at 0, the SPD block A[1:, 1:] is factorised
+    once for both directions, and the mean (c'x) / sum(c) is subtracted.
+    Each component holds theta on the Y1 submesh, mu, and the relative
+    residual of A x + c mu = b.
     """
     y1 = _y1_submesh(cell)
-    a_red, dofmap = fem.apply_constraints(
-        y1, fem.assemble_stiffness(y1, geom.d1), zero_mean=True
-    )
-    solve = solvers.factorize(a_red, _SOLVER_TOL)
+    a_red, dofmap = fem.apply_constraints(y1, fem.assemble_stiffness(y1, geom.d1))
+    c = dofmap.reduce(fem.integral_weights(y1))
+    solve = solvers.factorize(a_red[1:, 1:], _SOLVER_TOL)
     components = []
     for direction in (1, 2):
-        b_red = dofmap.reduce(fem.assemble_corrector_rhs(y1, direction, coeff=geom.d1))
-        x = solve(b_red)
+        b = dofmap.reduce(fem.assemble_corrector_rhs(y1, direction, coeff=geom.d1))
+        mu = b.sum() / c.sum()
+        x = np.concatenate([[0.0], solve((b - mu * c)[1:])])
+        x -= (c @ x) / c.sum()
         resid = float(
-            np.linalg.norm(b_red - a_red @ x) / max(np.linalg.norm(b_red), 1e-300)
+            np.linalg.norm(b - a_red @ x - mu * c) / max(np.linalg.norm(b), 1e-300)
         )
         components.append(CorrectorComponent(
             direction=direction,
-            theta=dofmap.expand(x[: dofmap.n_dofs]),
-            multiplier=dofmap.multiplier(x),
+            theta=dofmap.expand(x),
+            multiplier=float(mu),
             residual=resid,
         ))
     return CorrectorSolution(mesh=y1, components=tuple(components))

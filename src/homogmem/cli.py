@@ -234,8 +234,13 @@ def _check_config(config: dict, stages: list[str]) -> None:
         raise ValueError("mesh.mode 'msh' requires mesh.msh_path")
     if "tensor" in stages or "kernel" in stages:
         msh.CellGeometry(**config["cell"])
+    kc = config["kernel"]
+    if config["mesh"]["mode"] == "builtin" and (
+            "tensor" in stages or "kernel" in stages and kc["mesh"]["mode"] == "cell"):
+        msh.check_cell_mesh_args(config["mesh"]["h"], config["mesh"]["n_arc"])
+    if "kernel" in stages and kc["mesh"]["mode"] == "inclusion":
+        msh.check_inclusion_mesh_args(kc["mesh"]["h"], kc["mesh"]["n_arc"])
     if "kernel" in stages:
-        kc = config["kernel"]
         if kc["m"] < 0:
             raise ValueError(f"kernel.m must be >= 0, got {kc['m']}")
         if not kc["epsilon"] >= 0.0:

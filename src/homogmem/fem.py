@@ -4,14 +4,14 @@ Stiffness, mass, and corrector right-hand sides are assembled over every
 triangle of the mesh they are given (callers pass the Y1 or Y2 submesh)
 with exact per-element integration (gradients are constant, the mass
 element is the standard area/12 matrix).  Constraint application folds
-periodic slaves onto their masters, eliminates homogeneous Dirichlet
-rows/columns, and can border the system with a discrete zero-mean row for
-pure-Neumann problems; it returns a DofMap, which is the one way load
-vectors are reduced onto the constrained system.
+periodic slaves onto their masters and eliminates homogeneous Dirichlet
+rows/columns; it returns a DofMap, which is the one way load vectors are
+reduced onto the constrained system.  A pure-Neumann problem keeps its
+constant nullspace here; ``cell.solve_correctors`` fixes the constant.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,20 +27,13 @@ class DofMap:
     """Vertex-to-dof bookkeeping produced by apply_constraints.
 
     ``vertex_to_dof`` maps every mesh vertex to its retained dof (slaves map
-    to the master's dof, Dirichlet vertices to -1).  When a zero-mean row is
-    appended, the multiplier occupies index ``n_dofs`` of the bordered
-    system and ``multiplier_index`` is set.  ``reduce`` takes nodal loads
-    onto the system and ``expand`` takes a solution back to the vertices.
+    to the master's dof, Dirichlet vertices to -1).  ``reduce`` takes nodal
+    loads onto the system and ``expand`` takes a solution back to the
+    vertices.
     """
 
     vertex_to_dof: np.ndarray
     n_dofs: int
-    multiplier_index: int | None = None
-    multiplier_scale: float = 1.0
-
-    @property
-    def n_system(self) -> int:
-        return self.n_dofs + (1 if self.multiplier_index is not None else 0)
 
     def expand(self, x: np.ndarray) -> np.ndarray:
         """Nodal values on all mesh vertices (zeros on Dirichlet vertices)."""
@@ -51,18 +44,13 @@ class DofMap:
 
     def reduce(self, full: np.ndarray) -> np.ndarray:
         """Load vector folded onto the system: slave entries add into their
-        masters, Dirichlet entries drop, the multiplier row (if any) is 0.
+        masters, Dirichlet entries drop.
 
         This is the transpose of ``expand``, so a load reduced here matches
         matrices reduced by apply_constraints."""
         free = self.vertex_to_dof >= 0
         return np.bincount(self.vertex_to_dof[free], weights=full[free],
-                           minlength=self.n_system)
-
-    def multiplier(self, x: np.ndarray) -> float:
-        if self.multiplier_index is None:
-            raise ValueError("system has no zero-mean multiplier")
-        return float(x[self.multiplier_index]) / self.multiplier_scale
+                           minlength=self.n_dofs)
 
 
 def triangle_gradients(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
@@ -150,20 +138,17 @@ def integral_weights(mesh: TriMesh) -> np.ndarray:
     return w
 
 
-def apply_constraints(mesh: TriMesh, *matrices: sp.spmatrix,
-                      dirichlet_tags=(), zero_mean: bool = False):
-    """Reduce each of ``matrices`` by one set of Dirichlet/periodic/zero-mean
+def apply_constraints(mesh: TriMesh, *matrices: sp.spmatrix, dirichlet_tags=()):
+    """Reduce each of ``matrices`` by one set of Dirichlet/periodic
     constraints.
 
     Homogeneous Dirichlet vertices (on boundary edges carrying one of
     ``dirichlet_tags``, given by name) are eliminated; the slave row and
     column of every (slave, master) row of ``mesh.periodic_pairs`` are
-    folded onto the master, so a mesh without pairs folds nothing;
-    ``zero_mean`` borders every reduced matrix with the row of basis
-    integrals and one Lagrange multiplier.  A master that is itself a slave,
-    or a pair that touches a Dirichlet vertex, is a ValueError.  Returns the
-    reduced matrices in order, then the DofMap whose ``reduce`` folds load
-    vectors onto the same system.
+    folded onto the master, so a mesh without pairs folds nothing.  A master
+    that is itself a slave, or a pair that touches a Dirichlet vertex, is a
+    ValueError.  Returns the reduced matrices in order, then the DofMap whose
+    ``reduce`` folds load vectors onto the same system.
     """
     nv = mesh.n_vertices
     if any(a.shape != (nv, nv) for a in matrices):
@@ -197,31 +182,17 @@ def apply_constraints(mesh: TriMesh, *matrices: sp.spmatrix,
     rep[slaves] = masters
 
     keep = ~is_dirichlet & (rep == np.arange(nv))
-    dof_of = -np.ones(nv, dtype=np.int64)
-    dof_of[keep] = np.arange(int(keep.sum()))
-    vertex_to_dof = np.where(is_dirichlet, -1, dof_of[rep])
     n_dofs = int(keep.sum())
-    dofmap = DofMap(vertex_to_dof=vertex_to_dof, n_dofs=n_dofs)
+    dof_of = -np.ones(nv, dtype=np.int64)
+    dof_of[keep] = np.arange(n_dofs)
+    vertex_to_dof = np.where(is_dirichlet, -1, dof_of[rep])
 
     rows = np.nonzero(vertex_to_dof >= 0)[0]
     proj = sp.coo_matrix(
         (np.ones(rows.size), (rows, vertex_to_dof[rows])), shape=(nv, n_dofs)
     ).tocsr()
     reduced = [(proj.T @ a @ proj).tocsr() for a in matrices]
-
-    if zero_mean:
-        c = dofmap.reduce(integral_weights(mesh))
-        scale = float(np.linalg.norm(c))
-        if scale == 0.0:
-            raise ValueError("zero-mean row vanishes; mesh has no measure")
-        # unit border column keeps the saddle system well scaled; the
-        # multiplier is rescaled back on readout (A x + (c/s)(s mu) = b)
-        c = c / scale
-        reduced = [sp.bmat([[a, c[:, None]], [c[None, :], None]], format="csr")
-                   for a in reduced]
-        dofmap = replace(dofmap, multiplier_index=n_dofs, multiplier_scale=scale)
-
     for a in reduced:
         a.sort_indices()
-    return (*reduced, dofmap)
+    return (*reduced, DofMap(vertex_to_dof=vertex_to_dof, n_dofs=n_dofs))
 

@@ -152,6 +152,25 @@ class CellGeometry:
         return q @ self.local_frame().T + np.asarray(self.center)
 
 
+def check_cell_mesh_args(h: float, n_arc: int) -> None:
+    """Reject an ``h`` or ``n_arc`` that ``build_cell_mesh`` refuses."""
+    _check_spacing_and_arcs("cell", h, n_arc)
+
+
+def check_inclusion_mesh_args(h: float, n_arc: int) -> None:
+    """Reject an ``h`` or ``n_arc`` that ``build_inclusion_mesh`` refuses."""
+    _check_spacing_and_arcs("inclusion", h, n_arc)
+    if n_arc % 4:
+        raise GeometryError(f"inclusion mesh n_arc must be a multiple of 4, got {n_arc}")
+
+
+def _check_spacing_and_arcs(kind: str, h: float, n_arc: int) -> None:
+    if not 0.0 < h < math.inf:  # also catches NaN
+        raise ValueError(f"{kind} mesh spacing h must be positive and finite, got {h}")
+    if n_arc < 8:
+        raise GeometryError(f"{kind} mesh n_arc must be at least 8, got {n_arc}")
+
+
 def _edge_keys(edges: np.ndarray, nv: int) -> np.ndarray:
     """One int64 per undirected edge, ``lo * nv + hi``; needs ``nv`` above
     every vertex index.  Keys sort in the lexicographic order of (lo, hi)."""
@@ -299,8 +318,7 @@ def build_cell_mesh(geom: CellGeometry, h: float, n_arc: int = 128) -> TriMesh:
     other centroids are labeled by the ellipse equation.  Edges are compared
     as one integer key each.
     """
-    if h <= 0.0:
-        raise ValueError(f"target edge length must be positive, got {h}")
+    check_cell_mesh_args(h, n_arc)
     poly = geom.boundary_polygon(n_arc)
 
     clear = max(0.35 * h, 0.55 * _longest_edge(poly))
@@ -413,10 +431,7 @@ def build_inclusion_mesh(geom: CellGeometry, h: float, n_arc: int = 256) -> TriM
     (on the major semi-axis, local coordinate x = 0) and MINOR_AXIS (on the
     minor semi-axis, y = 0); their vertices lie exactly on the axes.
     """
-    if h <= 0.0:
-        raise ValueError(f"target edge length must be positive, got {h}")
-    if n_arc < 8 or n_arc % 4:
-        raise GeometryError("n_arc must be a multiple of 4 and at least 8")
+    check_inclusion_mesh_args(h, n_arc)
     quarter_arc = n_arc // 4
     nr = max(2, math.ceil(geom.a / h))
 
@@ -618,13 +633,15 @@ def read_msh(path, subdomain_map: dict[int, str] | None = None,
 
     if "MeshFormat" not in sections:
         raise MeshFormatError("missing $MeshFormat section")
-    fmt = sections["MeshFormat"][0].split()
+    fmt = " ".join(sections["MeshFormat"][:1]).split()
+    if len(fmt) != 3:
+        raise MeshFormatError("$MeshFormat line is not 'version file-type data-size'")
     if fmt[0] != "2.2":
         raise MeshFormatError(f"unsupported MSH version {fmt[0]} (need 2.2)")
     if fmt[1] != "0":
         raise MeshFormatError("binary MSH files are not supported")
-    if "Nodes" not in sections or "Elements" not in sections:
-        raise MeshFormatError("missing $Nodes or $Elements section")
+    if not (sections.get("Nodes") and sections.get("Elements")):
+        raise MeshFormatError("missing or empty $Nodes or $Elements section")
 
     node_lines = sections["Nodes"]
     n_nodes = int(node_lines[0])
@@ -646,7 +663,7 @@ def read_msh(path, subdomain_map: dict[int, str] | None = None,
         raise MeshFormatError("element count does not match $Elements header")
     for ln in elem_lines[1:]:
         parts = [int(p) for p in ln.split()]
-        if len(parts) < 3:
+        if len(parts) < 3 or len(parts) < 3 + parts[2]:
             raise MeshFormatError(f"$Elements line {ln!r} is too short")
         etype, ntags = parts[1], parts[2]
         phys = parts[3] if ntags >= 1 else 0

@@ -1,8 +1,8 @@
 """Sparse direct solves and partial generalized eigensolves.
 
-Every linear system in the package has a fixed matrix: the macro step
-matrix, the mass projection, the Volterra reference matrix and the bordered
-zero-mean corrector system.  Each is factorised once with SuperLU
+Every linear system in the package has a fixed SPD matrix: the macro step
+matrix, the mass projection, the Volterra reference matrix and the pinned
+corrector system.  Each is factorised once with SuperLU in symmetric mode
 (``factorize``) and every solve checks its true residual, so a singular
 matrix, a non-finite right-hand side or an unmet tolerance raises
 ConvergenceError.  Smallest eigenpairs of K phi = lambda M phi come from
@@ -49,10 +49,10 @@ class EigenPairs:
 def factorize(a: sp.spmatrix, tol: float = 1e-10) -> Callable[[np.ndarray], np.ndarray]:
     """Factorise ``a`` once with SuperLU and return ``solve(b) -> x``.
 
-    The column ordering is minimum degree on A'+A, which suits the
-    symmetric sparsity patterns of every system in this package.  Each solve
-    checks the true relative residual ||b - a x|| / ||b|| with one
-    matrix-vector product and raises ConvergenceError when it is above
+    Every caller's matrix is SPD: the ordering is minimum degree on A'+A,
+    and symmetric mode pivots on the diagonal (off it only where it must).
+    Each solve checks the true relative residual ||b - a x|| / ||b|| with
+    one matrix-vector product and raises ConvergenceError when it is above
     ``tol`` or not finite; a zero right-hand side returns zeros.  A singular
     factorisation raises ConvergenceError as well.
     """
@@ -61,7 +61,8 @@ def factorize(a: sp.spmatrix, tol: float = 1e-10) -> Callable[[np.ndarray], np.n
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     a = sp.csr_matrix(a)
     try:
-        lu = spla.splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        lu = spla.splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                       options=dict(SymmetricMode=True))
     except RuntimeError as err:  # SuperLU reports an exactly zero pivot
         raise ConvergenceError(f"matrix is singular: {err}") from err
 

@@ -1,4 +1,6 @@
 """Cell correctors and effective tensor: structural oracles and invariants."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,19 @@ def solve_tensor(geom, h, n_arc=128):
     mesh = msh.periodic_pairs(msh.build_cell_mesh(geom, h, n_arc=n_arc))
     correctors = cell.solve_correctors(mesh, geom)
     return cell.effective_tensor(correctors, geom), correctors
+
+
+def bordered_oracle(y1, geom, load):
+    """Nodal theta and multiplier of the dense Lagrange-bordered system
+    [[A, c], [c', 0]] [x; mu] = [b; 0] for the nodal load ``load``."""
+    a, dofmap = fem.apply_constraints(y1, fem.assemble_stiffness(y1, geom.d1))
+    c = dofmap.reduce(fem.integral_weights(y1))
+    n = dofmap.n_dofs
+    bordered = np.zeros((n + 1, n + 1))
+    bordered[:n, :n] = a.toarray()
+    bordered[:n, n] = bordered[n, :n] = c
+    sol = np.linalg.solve(bordered, np.append(dofmap.reduce(load), 0.0))
+    return dofmap.expand(sol[:n]), sol[n]
 
 
 class TestCorrectors:
@@ -27,6 +42,56 @@ class TestCorrectors:
         measure = weights.sum()
         for comp in coarse_correctors.components:
             assert abs(weights @ comp.theta) <= 1e-10 * measure
+
+    def test_pinned_solve_matches_dense_bordered_solve(self, coarse_correctors,
+                                                       ref_geom):
+        y1 = coarse_correctors.mesh
+        for comp in coarse_correctors.components:
+            load = fem.assemble_corrector_rhs(y1, comp.direction, coeff=ref_geom.d1)
+            theta, mu = bordered_oracle(y1, ref_geom, load)
+            scale = np.abs(theta).max()
+            assert np.abs(comp.theta - theta).max() <= 1e-12 * scale
+            assert abs(comp.multiplier - mu) <= 1e-12
+            assert comp.residual <= 1e-10
+
+    def test_incompatible_load_gets_the_closed_form_multiplier(
+            self, coarse_correctors, ref_geom, monkeypatch):
+        # b + 1 is not in the range of A; the multiplier takes up its mean
+        y1 = coarse_correctors.mesh
+        assemble = fem.assemble_corrector_rhs
+        monkeypatch.setattr(fem, "assemble_corrector_rhs",
+                            lambda *args, **kw: assemble(*args, **kw) + 1.0)
+        shifted = cell.solve_correctors(y1, ref_geom)
+        _, dofmap = fem.apply_constraints(y1, fem.assemble_stiffness(y1, 1.0))
+        c = dofmap.reduce(fem.integral_weights(y1))
+        for comp in shifted.components:
+            load = fem.assemble_corrector_rhs(y1, comp.direction, coeff=ref_geom.d1)
+            theta, mu = bordered_oracle(y1, ref_geom, load)
+            assert comp.multiplier == pytest.approx(dofmap.reduce(load).sum() / c.sum(),
+                                                    rel=1e-12)
+            assert abs(comp.multiplier - mu) <= 1e-12 * abs(mu)
+            assert np.abs(comp.theta - theta).max() <= 1e-12 * np.abs(theta).max()
+            assert comp.residual <= 1e-10
+
+    def test_pinning_another_dof_keeps_theta(self, coarse_correctors, ref_geom):
+        # reversing the vertex order makes another vertex dof 0
+        y1 = coarse_correctors.mesh
+        perm = np.arange(y1.n_vertices)[::-1]
+        inv = np.argsort(perm)
+        reversed_y1 = dataclasses.replace(
+            y1, vertices=y1.vertices[perm], triangles=inv[y1.triangles],
+            boundary_edges=inv[y1.boundary_edges],
+            periodic_pairs=inv[y1.periodic_pairs],
+        )
+
+        def pinned_vertex(mesh):  # dof 0: the first vertex that is no slave
+            return np.setdiff1d(np.arange(mesh.n_vertices), mesh.periodic_pairs[:, 0])[0]
+
+        assert perm[pinned_vertex(reversed_y1)] != pinned_vertex(y1)
+        again = cell.solve_correctors(reversed_y1, ref_geom)
+        for old, new in zip(coarse_correctors.components, again.components):
+            assert np.abs(new.theta - old.theta[perm]).max() <= (
+                1e-12 * np.abs(old.theta).max())
 
     def test_periodic_values_identical(self, coarse_correctors):
         pairs = coarse_correctors.mesh.periodic_pairs

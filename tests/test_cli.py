@@ -1,7 +1,9 @@
 """CLI pipeline: config handling, artifacts, schemas, exit codes."""
+import functools
 import importlib.util
 import json
 import sys
+import tempfile
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -75,6 +77,56 @@ def load_schema(name: str) -> dict:
         (resources.files("homogmem") / "schemas" / f"{name}.schema.json")
         .read_text()
     )
+
+
+MSH_MUTATIONS = ("truncated-line", "node-count", "unknown-node",
+                 "duplicated-triangle", "flipped-triangle")
+
+
+@functools.cache
+def small_msh_lines() -> tuple[str, ...]:
+    """The MSH 2.2 text of the small config's cell mesh, as lines."""
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "cell.msh"
+        geom = msh.CellGeometry(**SMALL_CONFIG["cell"])
+        write_msh(msh.build_cell_mesh(geom, h=1.0 / 24, n_arc=64), path)
+        return tuple(path.read_text().splitlines())
+
+
+def mutate_msh(lines, kind: str, draw) -> list[str]:
+    """``lines`` with one defect of ``kind`` (one of ``MSH_MUTATIONS``),
+    its place drawn by ``draw``: a data line cut after fewer of its fields,
+    a wrong $Nodes count, an element naming a node id no node has, a
+    triangle listed twice, or a triangle listed clockwise."""
+    lines = list(lines)
+    nodes, elems = lines.index("$Nodes"), lines.index("$Elements")
+    n_nodes = int(lines[nodes + 1])
+    elem_rows = range(elems + 2, len(lines) - 1)
+    tri_rows = [i for i in elem_rows if lines[i].split()[1] == "2"]
+    if kind == "truncated-line":
+        k = draw(st.sampled_from(
+            [i for i, ln in enumerate(lines) if not ln.startswith("$")]))
+        parts = lines[k].split()
+        lines[k] = " ".join(parts[:draw(st.integers(0, len(parts) - 1))])
+    elif kind == "node-count":
+        lines[nodes + 1] = str(n_nodes + draw(st.integers(-3, 3).filter(bool)))
+    elif kind == "unknown-node":
+        k = draw(st.sampled_from(elem_rows))
+        parts = lines[k].split()
+        at = draw(st.integers(3 + int(parts[2]), len(parts) - 1))
+        parts[at] = str(n_nodes + draw(st.integers(1, 10**6)))
+        lines[k] = " ".join(parts)
+    elif kind == "duplicated-triangle":  # listed again under a new id
+        k = draw(st.sampled_from(tri_rows))
+        lines[elems + 1] = str(int(lines[elems + 1]) + 1)
+        lines.insert(k + 1, " ".join([str(10**6)] + lines[k].split()[1:]))
+    else:  # two corners swapped
+        k = draw(st.sampled_from(tri_rows))
+        parts = lines[k].split()
+        i, j = draw(st.sampled_from([(-3, -2), (-3, -1), (-2, -1)]))
+        parts[i], parts[j] = parts[j], parts[i]
+        lines[k] = " ".join(parts)
+    return lines
 
 
 @pytest.fixture(scope="module")
@@ -388,6 +440,48 @@ class TestExitCodes:
                          "--set", "macro.n=0", "--set", "kernel.m=-1"]) == 0
         assert (out / "tensor.json").exists()
 
+    # mesh arguments the meshers refuse, checked by the meshers' own checks
+    @pytest.mark.parametrize("override, message", [
+        ("kernel.mesh.n_arc=30", "inclusion mesh n_arc must be a multiple of 4"),
+        ("kernel.mesh.n_arc=4", "inclusion mesh n_arc must be at least 8"),
+        ("kernel.mesh.h=0.0", "inclusion mesh spacing h must be positive and finite"),
+        ("kernel.mesh.h=NaN", "inclusion mesh spacing h must be positive and finite"),
+        ("mesh.h=0.0", "cell mesh spacing h must be positive and finite"),
+        ("mesh.h=NaN", "cell mesh spacing h must be positive and finite"),
+        ("mesh.h=Infinity", "cell mesh spacing h must be positive and finite"),
+        ("mesh.n_arc=4", "cell mesh n_arc must be at least 8"),
+    ])
+    def test_mesh_argument_gate_exits_2_before_any_stage(self, tmp_path, capsys,
+                                                         override, message):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        rc = cli.main(["pipeline", "--config", str(config), "--out", str(out),
+                       "--set", override])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_mesh_argument_gate_checks_only_the_meshes_built(self, tmp_path):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main(["tensor", "--config", str(config), "--out", str(out),
+                         "--set", "kernel.mesh.n_arc=30"]) == 0
+        # the inclusion mode does not build the cell mesh, the cell mode does
+        assert cli.main(["kernel", "--config", str(config), "--out", str(out),
+                         "--set", "mesh.h=0.0"]) == 0
+        assert cli.main(["kernel", "--config", str(config), "--out", str(out),
+                         "--force", "--set", "mesh.h=0.0",
+                         "--set", 'kernel.mesh.mode="cell"']) == 2
+        # a mesh read from a file ignores the built-in mesher's arguments
+        msh_path = tmp_path / "cell.msh"
+        write_msh(msh.build_cell_mesh(msh.CellGeometry(**SMALL_CONFIG["cell"]),
+                                      h=1.0 / 24, n_arc=64), msh_path)
+        assert cli.main(["tensor", "--config", str(config), "--out", str(out),
+                         "--force", "--set", "mesh.h=0.0",
+                         "--set", 'mesh.mode="msh"',
+                         "--set", f'mesh.msh_path="{msh_path}"']) == 0
+
     # a kernel file is outside input: one the energy estimate does not cover
     # is refused before the macro problem is built; tests/test_kernel.py
     # covers every range
@@ -534,6 +628,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert not (out / "tensor.json").exists()
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_mutated_msh_text_exits_2(self, tmp_path, data):
+        kind = data.draw(st.sampled_from(MSH_MUTATIONS), label="mutation")
+        lines = mutate_msh(small_msh_lines(), kind, data.draw)
+        work = Path(tempfile.mkdtemp(dir=tmp_path))
+        msh_path = work / "cell.msh"
+        msh_path.write_text("\n".join(lines) + "\n")
+        rc = cli.main(["tensor", "--config", str(write_config(work)),
+                       "--out", str(work / "out"),
+                       "--set", 'mesh.mode="msh"',
+                       "--set", f'mesh.msh_path="{msh_path}"'])
+        assert rc == 2
+        assert not (work / "out" / "tensor.json").exists()
 
     def test_u0_reaching_object_internals_exits_2_before_any_stage(self, tmp_path):
         config = write_config(tmp_path)

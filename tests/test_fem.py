@@ -120,24 +120,6 @@ class TestConstraints:
         ones = np.ones(dofmap.n_dofs)
         assert np.abs(k_red @ ones).max() < 1e-12
 
-    def test_zero_mean_border_row_is_normalized_weights(self):
-        mesh = msh.build_unit_square_mesh(4, label=msh.Y1)
-        mesh = msh.periodic_pairs(mesh)
-        k = fem.assemble_stiffness(mesh, 1.0)
-        m = fem.assemble_mass(mesh)
-        k_red, m_red, dofmap = fem.apply_constraints(
-            mesh, k, m, zero_mean=True
-        )
-        assert dofmap.multiplier_index == dofmap.n_dofs
-        assert k_red.shape == (dofmap.n_dofs + 1, dofmap.n_dofs + 1)
-        border = k_red.toarray()[-1, :-1]
-        assert np.linalg.norm(border) == pytest.approx(1.0, rel=1e-12)
-        # every matrix reduced in one call carries the same border
-        np.testing.assert_array_equal(m_red.toarray()[-1, :-1], border)
-        assert dofmap.reduce(fem.integral_weights(mesh))[-1] == 0.0
-        # undoing the normalization recovers the patch integrals (sum = |Y|)
-        assert border.sum() * dofmap.multiplier_scale == pytest.approx(1.0)
-
     def test_expand_restrict_roundtrip(self, coarse_cell_mesh):
         k = fem.assemble_stiffness(coarse_cell_mesh, 1.0)
         _, dofmap = fem.apply_constraints(coarse_cell_mesh, k)
@@ -152,12 +134,6 @@ class TestConstraints:
         # reduce is the transpose of expand: f . expand(x) == reduce(f) . x
         f = np.cos(np.arange(coarse_cell_mesh.n_vertices))
         assert f @ full == pytest.approx(dofmap.reduce(f) @ x, rel=1e-12)
-
-    def test_multiplier_requires_border(self, coarse_cell_mesh):
-        k = fem.assemble_stiffness(coarse_cell_mesh, 1.0)
-        _, dofmap = fem.apply_constraints(coarse_cell_mesh, k)
-        with pytest.raises(ValueError):
-            dofmap.multiplier(np.zeros(dofmap.n_dofs))
 
     def test_unknown_tag_rejected(self, coarse_cell_mesh):
         k = fem.assemble_stiffness(coarse_cell_mesh, 1.0)

@@ -141,6 +141,12 @@ class TestCellMesh:
         with pytest.raises(ValueError):
             msh.build_cell_mesh(ref_geom, -0.1)
 
+    @pytest.mark.parametrize("h", [math.nan, math.inf])
+    def test_non_finite_spacing_rejected(self, ref_geom, h):
+        for build in (msh.build_cell_mesh, msh.build_inclusion_mesh):
+            with pytest.raises(ValueError, match="spacing h must be positive and finite"):
+                build(ref_geom, h)
+
 
 def dense_cell_mesh(geom, h, n_arc):
     """Reference cell mesher: every grid point and centroid is tested against
@@ -505,6 +511,21 @@ class TestSerialization:
         with pytest.raises(MeshFormatError):
             msh.read_msh(path)
 
+    @pytest.mark.parametrize("fmt, count, message", [
+        ("2.2 0", "4", "is not 'version file-type data-size'"),
+        ("", "4", "is not 'version file-type data-size'"),
+        ("2.2 0 8", None, "empty \\$Nodes"),
+    ])
+    def test_msh_rejects_bad_header_lines(self, tmp_path, fmt, count, message):
+        nodes = "" if count is None else f"{count}\n1 0 0 0\n2 1 0 0\n3 1 1 0\n4 0 1 0\n"
+        path = tmp_path / "bad.msh"
+        path.write_text(
+            f"$MeshFormat\n{fmt}\n$EndMeshFormat\n$Nodes\n{nodes}$EndNodes\n"
+            "$Elements\n1\n1 2 2 0 0 1 2 3\n$EndElements\n"
+        )
+        with pytest.raises(MeshFormatError, match=message):
+            msh.read_msh(path)
+
     def test_msh_rejects_unterminated_section(self, tmp_path):
         path = tmp_path / "bad.msh"
         path.write_text("$MeshFormat\n2.2 0 8\n")
@@ -525,8 +546,10 @@ class TestSerialization:
         (lambda f: f[:2], None),
         (lambda f: f[:-1], None),
         (lambda f: f[:-1] + ["999999"], None),
+        (lambda f: f[:3], None),
         (None, "1 0.0"),
-    ], ids=["short-element", "two-node-triangle", "unknown-node", "short-node"])
+    ], ids=["short-element", "two-node-triangle", "unknown-node", "tags-cut-off",
+            "short-node"])
     def test_msh_rejects_malformed_lines(self, tmp_path, mutate, bad_line):
         path = tmp_path / "cell.msh"
         write_msh(msh.build_unit_square_mesh(2), path)

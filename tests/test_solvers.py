@@ -81,16 +81,20 @@ class TestSolveSpd:
         with pytest.raises(ValueError):
             solvers.factorize(sp.csr_matrix(np.ones((2, 3))))
 
-    def test_saddle_path_matches_dense(self):
-        mesh = msh.periodic_pairs(msh.build_unit_square_mesh(6, label=msh.Y1))
-        k = fem.assemble_stiffness(mesh, 1.0)
-        b = fem.integral_weights(mesh)
-        b = b - b.mean()  # compatible load for the singular operator
-        k_red, dofmap = fem.apply_constraints(mesh, k, zero_mean=True)
-        b_red = dofmap.reduce(b)
-        x = solvers.solve_spd(k_red, b_red, tol=1e-11)
-        ref = np.linalg.solve(k_red.toarray(), b_red)
-        np.testing.assert_allclose(x, ref, atol=1e-8)
+    def test_nonsymmetric_matrix_with_zero_diagonal(self):
+        # symmetric mode prefers diagonal pivots; with every diagonal entry
+        # zero it has to pivot off the diagonal to solve at all
+        rng = np.random.default_rng(11)
+        n = 40
+        dense = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.2)
+        dense += np.roll(np.diag(n * (1.0 + rng.random(n))), 1, axis=1)
+        np.fill_diagonal(dense, 0.0)
+        a = sp.csr_matrix(dense)
+        assert (a != a.T).nnz > 0
+        b = rng.standard_normal(n)
+        x = solvers.factorize(a, tol=1e-12)(b)
+        assert np.linalg.norm(b - a @ x) <= 1e-12 * np.linalg.norm(b)
+        np.testing.assert_allclose(x, np.linalg.solve(dense, b), atol=1e-12)
 
     @given(st.integers(5, 40), st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
