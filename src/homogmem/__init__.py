@@ -43,7 +43,6 @@ from .macro import (  # noqa: F401
     init_state,
     run,
     step,
-    volterra_reference,
 )
 from .mesh import (  # noqa: F401
     CellGeometry,

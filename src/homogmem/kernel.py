@@ -48,8 +48,6 @@ class KernelApproximation:
     @property
     def total_weight(self) -> float:
         """sum_k a_k / lambda_k + r, equal to |Y2| / (1 - |Y2|) unfiltered."""
-        if self.amplitudes.size == 0:
-            return self.remainder
         return float((self.amplitudes / self.rates).sum() + self.remainder)
 
 
@@ -206,10 +204,7 @@ def eval_kernel(kernel: KernelApproximation, t) -> np.ndarray | float:
     t_arr = np.asarray(t, dtype=float)
     if (t_arr < 0.0).any():
         raise ValueError("kernel is defined for t >= 0 only")
-    if kernel.amplitudes.size == 0:
-        out = np.zeros_like(t_arr)
-    else:
-        out = np.exp(-np.multiply.outer(t_arr, kernel.rates)) @ kernel.amplitudes
+    out = np.exp(-np.multiply.outer(t_arr, kernel.rates)) @ kernel.amplitudes
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 

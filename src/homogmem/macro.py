@@ -13,25 +13,21 @@ plus a few products with M, K and the (K x N) block of auxiliary fields.
 The discrete energy y'Ky + sum_k a_k w_k' M w_k is non-increasing for
 sigma >= 1/2; the quadratics q_k = w_k' M w_k are carried on the state and
 updated from the step increment, so the energy costs O(N + K) per level
-rather than K products with M.  A direct Volterra integrator over the full
-history is kept as an independent reference for convergence studies.
+rather than K products with M.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import fem, solvers
 from .errors import ConvergenceError
 from .kernel import KernelApproximation
 from .mesh import TriMesh
 
-_HISTORY_LIMIT = 100_000
 # relative residual every macro linear solve must meet
 _SOLVER_TOL = 1e-12
 
@@ -72,7 +68,8 @@ class MacroProblem:
 
 
 class _StepOperator:
-    """Matrices and scalar coefficients shared by every step."""
+    """Matrices, the step matrix's factor and the scalar coefficients
+    shared by every step."""
 
     def __init__(self, problem: MacroProblem):
         mesh = problem.mesh
@@ -83,24 +80,16 @@ class _StepOperator:
             mesh, stiff, mass, dirichlet_tags=("outer",)
         )
         sig, tau = problem.sigma, problem.tau
-        self.sigma = sig
-        self.tau = tau
-        self.rates = ker.rates
         self.amplitudes = ker.amplitudes
         self.gains = ker.amplitudes / (1.0 + sig * tau * ker.rates)
         alpha = float(self.gains.sum())
         self.mass_weight = 1.0 + ker.remainder + sig * tau * alpha
-        self.step_matrix = (self.mass_weight * self.mass
-                            + sig * tau * self.stiffness).tocsr()
+        step_matrix = self.mass_weight * self.mass + sig * tau * self.stiffness
+        self.solve_step = solvers.factorize(step_matrix, _SOLVER_TOL)
         self.w_decay = (1.0 - (1.0 - sig) * tau * ker.rates) / (
             1.0 + sig * tau * ker.rates
         )
         self.w_gain = 1.0 / (1.0 + sig * tau * ker.rates)
-
-    @cached_property
-    def solve_step(self):
-        """Solve with the step matrix, factorised on first use."""
-        return solvers.factorize(self.step_matrix, _SOLVER_TOL)
 
 
 @dataclass
@@ -185,7 +174,6 @@ class RunResult:
     l2_norms: np.ndarray
     snapshots: tuple[tuple[float, np.ndarray], ...]
     final: MacroState
-    trajectory: np.ndarray | None = None
 
     @property
     def initial_energy(self) -> float:
@@ -196,7 +184,7 @@ class RunResult:
         return float(self.energies[-1])
 
 
-def run(problem: MacroProblem, snapshot_times=(), store_trajectory: bool = False) -> RunResult:
+def run(problem: MacroProblem, snapshot_times=()) -> RunResult:
     """March from t=0 to t_end recording energy and L2 norm every level.
 
     ``snapshot_times`` are rounded to the nearest time level; snapshots are
@@ -217,7 +205,6 @@ def run(problem: MacroProblem, snapshot_times=(), store_trajectory: bool = False
     energies[0] = energy(state)
     norms[0] = l2_norm(state)
     snapshots = []
-    traj = [state.y.copy()] if store_trajectory else None
     if 0 in snap_levels:
         snapshots.append((0.0, state.ops.dofmap.expand(state.y)))
     # a blow-up overflows on its way to a non-finite energy; the check below
@@ -232,8 +219,6 @@ def run(problem: MacroProblem, snapshot_times=(), store_trajectory: bool = False
                     "the scheme blew up"
                 )
             norms[n] = l2_norm(state)
-            if traj is not None:
-                traj.append(state.y.copy())
             if n in snap_levels:
                 snapshots.append((n * problem.tau, state.ops.dofmap.expand(state.y)))
     return RunResult(
@@ -242,63 +227,4 @@ def run(problem: MacroProblem, snapshot_times=(), store_trajectory: bool = False
         l2_norms=norms,
         snapshots=tuple(snapshots),
         final=state,
-        trajectory=np.asarray(traj) if traj is not None else None,
     )
-
-
-def volterra_reference(problem: MacroProblem, tau: float | None = None) -> np.ndarray:
-    """Integrate the Volterra form directly as an independent reference.
-
-    The memory term (chi * du/dt)(t) is integrated exactly over each past
-    interval for the piecewise-constant increment representation of du/dt
-    (product integration), and the equation is enforced at the same sigma
-    weighting as the extended scheme.  The full increment history is kept;
-    beyond 100000 levels the call refuses.  Returns the dof trajectory with
-    shape (n_steps + 1, n_dofs).
-    """
-    tau = problem.tau if tau is None else tau
-    if tau <= 0.0:
-        raise ValueError(f"time step must be positive, got {tau}")
-    n_steps = int(round(problem.t_end / tau))
-    if n_steps > _HISTORY_LIMIT:
-        raise ValueError(
-            f"{n_steps} history levels exceed the limit of {_HISTORY_LIMIT}"
-        )
-    ops = _StepOperator(problem)
-    sig = problem.sigma
-    ker = problem.kernel
-    a_k = ker.amplitudes
-    lam = ker.rates
-    r = ker.remainder
-
-    y = _project_initial(problem, ops)
-    n_dofs = y.shape[0]
-    traj = np.empty((n_steps + 1, n_dofs))
-    traj[0] = y
-    increments = np.empty((n_steps, n_dofs))
-
-    # integral of each exponential over one step; beta weights the unknown
-    # increment, decay powers weight the stored history
-    decay = np.exp(-lam * tau)
-    unit_mass = (a_k / lam) * (1.0 - decay) if a_k.size else np.zeros(0)
-    beta = float(unit_mass.sum())
-    solve_lhs = solvers.factorize(
-        (1.0 + r + sig * beta) * ops.mass + sig * tau * ops.stiffness, _SOLVER_TOL
-    )
-
-    for n in range(n_steps):
-        hist = np.zeros(n_dofs)
-        if a_k.size and n > 0:
-            ages = np.arange(n - 1, -1, -1, dtype=float)  # n-1-j for j=0..n-1
-            powers = np.exp(-np.multiply.outer(lam * tau, ages))
-            w_at_n = unit_mass @ powers
-            w_at_np1 = (unit_mass * decay) @ powers
-            hist = (sig * w_at_np1 + (1.0 - sig) * w_at_n) @ increments[:n] / tau
-        rhs = (1.0 + r + sig * beta) * (ops.mass @ y)
-        rhs -= (1.0 - sig) * tau * (ops.stiffness @ y)
-        rhs -= tau * (ops.mass @ hist)
-        y_next = solve_lhs(rhs)
-        increments[n] = y_next - y
-        traj[n + 1] = y_next
-        y = y_next
-    return traj

@@ -562,7 +562,7 @@ def submesh(mesh: TriMesh, labels) -> tuple[TriMesh, np.ndarray]:
 
 def validate_mesh(mesh: TriMesh) -> None:
     """Check orientation, conformity, tags, and periodic-pair geometry."""
-    if mesh.areas.min() <= 0.0:
+    if not mesh.areas.min() > 0.0:  # also catches NaN
         raise ValueError("mesh has a non-positively-oriented triangle")
     uniq, _, counts = _edge_incidence(mesh.triangles)
     if counts.max() > 2:
@@ -654,7 +654,10 @@ def read_msh(path, subdomain_map: dict[int, str] | None = None,
         if len(parts) != 4:
             raise MeshFormatError(f"$Nodes line {ln!r} is not 'id x y z'")
         ids[k] = int(parts[0])
-        coords[k] = (float(parts[1]), float(parts[2]))
+        x, y = float(parts[1]), float(parts[2])
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise MeshFormatError(f"$Nodes line {ln!r} has a non-finite coordinate")
+        coords[k] = (x, y)
     renum = {int(v): k for k, v in enumerate(ids)}
 
     tris, sub, edges, tags = [], [], [], []

@@ -31,29 +31,31 @@ def write_vtk(mesh: TriMesh, values: np.ndarray, path, name: str = "u") -> None:
             fh.write(f"{float(v)!r}\n")
 
 
-def write_snapshot_csv(mesh: TriMesh, values: np.ndarray, path,
-                       name: str = "u") -> None:
-    """Write (x1, x2, value) rows for one nodal field."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (mesh.n_vertices,):
-        raise ValueError("field length does not match the mesh")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x1", "x2", name])
-        for (x, y), v in zip(mesh.vertices, values):
-            writer.writerow([repr(float(x)), repr(float(y)), repr(float(v))])
-
-
-def write_series_csv(path, columns: dict[str, np.ndarray]) -> None:
-    """Write named columns of equal length as CSV."""
-    names = list(columns)
-    arrays = [np.asarray(columns[k]) for k in names]
-    length = arrays[0].shape[0]
-    if any(a.shape != (length,) for a in arrays):
-        raise ValueError("all columns must have equal length")
+def _write_csv(path, names: list[str], arrays: list[np.ndarray]) -> None:
+    """Write a header row of ``names``, then one row per index of ``arrays``:
+    floats as their repr, which reads back bit for bit, integers as ints."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(names)
         for row in zip(*arrays):
             writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating))
                              else int(v) for v in row])
+
+
+def write_snapshot_csv(mesh: TriMesh, values: np.ndarray, path,
+                       name: str = "u") -> None:
+    """Write (x1, x2, value) rows for one nodal field."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (mesh.n_vertices,):
+        raise ValueError("field length does not match the mesh")
+    xy = np.asarray(mesh.vertices, dtype=float)
+    _write_csv(path, ["x1", "x2", name], [xy[:, 0], xy[:, 1], values])
+
+
+def write_series_csv(path, columns: dict[str, np.ndarray]) -> None:
+    """Write named columns of equal length as CSV."""
+    arrays = [np.asarray(a) for a in columns.values()]
+    length = arrays[0].shape[0]
+    if any(a.shape != (length,) for a in arrays):
+        raise ValueError("all columns must have equal length")
+    _write_csv(path, list(columns), arrays)

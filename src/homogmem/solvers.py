@@ -1,8 +1,7 @@
 """Sparse direct solves and partial generalized eigensolves.
 
 Every linear system in the package has a fixed SPD matrix: the macro step
-matrix, the mass projection, the Volterra reference matrix and the pinned
-corrector system.  Each is factorised once with SuperLU in symmetric mode
+matrix, the mass projection and the pinned corrector system.  Each is factorised once with SuperLU in symmetric mode
 (``factorize``) and every solve checks its true residual, so a singular
 matrix, a non-finite right-hand side or an unmet tolerance raises
 ConvergenceError.  Smallest eigenpairs of K phi = lambda M phi come from

@@ -17,6 +17,7 @@ from conftest import (
     REF_CHI0, REF_EIGENVALUES, REF_GEOM, REF_R0, REF_R31, REF_RHO, REF_TENSOR,
 )
 from homogmem import cell, cli, kernel as ker, macro, mesh as msh
+from volterra import trajectory, volterra_reference
 
 
 def report(num: int, label: str, ok: bool, detail: str) -> str:
@@ -173,13 +174,13 @@ def test_criterion_07_volterra_oracle_gap(tensor_stage, filtered_kernel):
                 mesh=mesh, tensor=tensor_result.tensor, kernel=k5, u0=front_u0,
                 tau=tau, t_end=0.05, sigma=sigma,
             )
-            result = macro.run(problem, store_trajectory=True)
-            reference = macro.volterra_reference(problem)
-            mass = result.final.ops.mass
-            diff = result.trajectory - reference
+            rows, final = trajectory(problem)
+            reference = volterra_reference(problem)
+            mass = final.ops.mass
+            diff = rows - reference
             norms = np.sqrt(np.einsum("tn,tn->t", diff, (mass @ diff.T).T))
             gaps.append(float(norms.max()))
-            y0_norm = m_norm(result.trajectory[0], mass)
+            y0_norm = m_norm(rows[0], mass)
         ratios = [gaps[0] / gaps[1], gaps[1] / gaps[2]]
         ratio_ok = all(window[0] <= r <= window[1] for r in ratios)
         abs_ok = gaps[0] <= 1e-3 * y0_norm

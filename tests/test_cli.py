@@ -80,7 +80,7 @@ def load_schema(name: str) -> dict:
 
 
 MSH_MUTATIONS = ("truncated-line", "node-count", "unknown-node",
-                 "duplicated-triangle", "flipped-triangle")
+                 "duplicated-triangle", "flipped-triangle", "non-finite-coordinate")
 
 
 @functools.cache
@@ -97,7 +97,8 @@ def mutate_msh(lines, kind: str, draw) -> list[str]:
     """``lines`` with one defect of ``kind`` (one of ``MSH_MUTATIONS``),
     its place drawn by ``draw``: a data line cut after fewer of its fields,
     a wrong $Nodes count, an element naming a node id no node has, a
-    triangle listed twice, or a triangle listed clockwise."""
+    triangle listed twice, a triangle listed clockwise, or a node
+    coordinate that is not finite."""
     lines = list(lines)
     nodes, elems = lines.index("$Nodes"), lines.index("$Elements")
     n_nodes = int(lines[nodes + 1])
@@ -120,6 +121,12 @@ def mutate_msh(lines, kind: str, draw) -> list[str]:
         k = draw(st.sampled_from(tri_rows))
         lines[elems + 1] = str(int(lines[elems + 1]) + 1)
         lines.insert(k + 1, " ".join([str(10**6)] + lines[k].split()[1:]))
+    elif kind == "non-finite-coordinate":
+        k = draw(st.sampled_from(range(nodes + 2, nodes + 2 + n_nodes)))
+        parts = lines[k].split()
+        parts[draw(st.sampled_from([1, 2]))] = draw(
+            st.sampled_from(["nan", "inf", "-inf"]))
+        lines[k] = " ".join(parts)
     else:  # two corners swapped
         k = draw(st.sampled_from(tri_rows))
         parts = lines[k].split()
@@ -698,9 +705,10 @@ class TestU0Expression:
         with pytest.raises(ValueError):
             u0(self.x1, self.x2)
 
+    # "(2)", not "2": "2" followed by ".E0" is the float literal 2.E0
     @given(
         base=st.sampled_from(["x1", "x2", "pi", "e", "(x1 + 1)", "sin(x1)", "()",
-                              "2", "1.5", "exp(x2 * pi)"]),
+                              "(2)", "1.5", "exp(x2 * pi)"]),
         attr=st.from_regex(r"\A_{0,2}[A-Za-z][A-Za-z0-9_]{0,12}\Z"),
         index=st.integers(-3, 3),
         subscript=st.booleans(),

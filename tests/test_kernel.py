@@ -86,7 +86,10 @@ class TestBuildKernel:
         assert kern.amplitudes.size == 0
         assert kern.remainder == pytest.approx(mu / (1.0 - mu), abs=1e-14)
         assert kern.chi0 == 0.0
+        assert kern.total_weight == kern.remainder
         assert ker.eval_kernel(kern, 0.7) == 0.0
+        np.testing.assert_array_equal(
+            ker.eval_kernel(kern, np.linspace(0.0, 1.0, 5)), np.zeros(5))
 
     def test_full_cell_mesh_is_restricted_to_inclusion(
         self, coarse_cell_mesh, ref_geom

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from homogmem import cli, fem, kernel as ker, macro, mesh as msh
+from volterra import trajectory, volterra_reference
 
 
 def make_kernel(amps, rates, r=0.0, y2=0.25):
@@ -112,10 +113,10 @@ class TestStepAlgebra:
             mesh=mesh, tensor=np.eye(2), kernel=make_kernel([], [], r=0.3),
             u0=mode_u0, tau=1e-3, t_end=5e-3, sigma=0.5,
         )
-        result = macro.run(problem, store_trajectory=True)
-        reference = macro.volterra_reference(problem)
-        assert result.trajectory.shape == reference.shape
-        assert np.abs(result.trajectory - reference).max() <= 1e-12
+        rows, _ = trajectory(problem)
+        reference = volterra_reference(problem)
+        assert rows.shape == reference.shape
+        assert np.abs(rows - reference).max() <= 1e-12
 
 
 class TestEnergy:
@@ -217,9 +218,7 @@ class TestRunBookkeeping:
             mesh=mesh, tensor=np.eye(2), kernel=make_kernel([2.0], [5.0]),
             u0=mode_u0, tau=2e-3, t_end=1e-2,
         )
-        result = macro.run(
-            problem, snapshot_times=(0.0, 1e-2), store_trajectory=True
-        )
+        result = macro.run(problem, snapshot_times=(0.0, 1e-2))
         assert problem.n_steps == 5
         np.testing.assert_allclose(result.times, np.arange(6) * 2e-3)
         assert result.energies.shape == result.l2_norms.shape == (6,)
@@ -228,9 +227,11 @@ class TestRunBookkeeping:
         for _, nodal in result.snapshots:
             assert nodal.shape == (mesh.n_vertices,)
             assert np.abs(nodal[np.unique(mesh.boundary_edges)]).max() == 0.0
-        assert result.trajectory.shape[0] == 6
+        rows, last = trajectory(problem)
+        assert rows.shape[0] == 6
         state0 = macro.init_state(problem)
-        np.testing.assert_allclose(result.trajectory[0], state0.y, atol=1e-14)
+        np.testing.assert_allclose(rows[0], state0.y, atol=1e-14)
+        np.testing.assert_array_equal(last.y, result.final.y)
         assert result.initial_energy == result.energies[0]
         assert result.final_energy == result.energies[-1]
 
@@ -242,15 +243,6 @@ class TestRunBookkeeping:
         )
         with pytest.raises(ValueError):
             macro.run(problem, snapshot_times=[1.0])
-
-    def test_history_limit_guard(self):
-        mesh = msh.build_unit_square_mesh(3)
-        problem = macro.MacroProblem(
-            mesh=mesh, tensor=np.eye(2), kernel=make_kernel([1.0], [2.0]),
-            u0=mode_u0, tau=1e-2, t_end=1.1e-2,
-        )
-        with pytest.raises(ValueError):
-            macro.volterra_reference(problem, tau=1e-7)
 
 
 class TestValidation:

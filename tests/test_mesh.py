@@ -456,6 +456,16 @@ class TestValidateMesh:
         with pytest.raises(ValueError):
             msh.validate_mesh(bad)
 
+    def test_nan_vertex_rejected(self):
+        # every comparison with a NaN area is false, so the area test must
+        # ask for positive areas rather than look for non-positive ones
+        mesh = msh.build_unit_square_mesh(2)
+        vertices = mesh.vertices.copy()
+        vertices[4] = np.nan  # the one interior vertex
+        bad = dataclasses.replace(mesh, vertices=vertices)
+        with pytest.raises(ValueError, match="non-positively-oriented"):
+            msh.validate_mesh(bad)
+
     def test_missing_boundary_edge_rejected(self):
         mesh = msh.build_unit_square_mesh(2)
         bad = dataclasses.replace(
@@ -548,8 +558,10 @@ class TestSerialization:
         (lambda f: f[:-1] + ["999999"], None),
         (lambda f: f[:3], None),
         (None, "1 0.0"),
+        (None, "1 nan 0.0 0"),
+        (None, "1 0.0 -inf 0"),
     ], ids=["short-element", "two-node-triangle", "unknown-node", "tags-cut-off",
-            "short-node"])
+            "short-node", "nan-node", "infinite-node"])
     def test_msh_rejects_malformed_lines(self, tmp_path, mutate, bad_line):
         path = tmp_path / "cell.msh"
         write_msh(msh.build_unit_square_mesh(2), path)
