@@ -12,7 +12,6 @@ import ast
 import copy
 import datetime
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -229,7 +228,7 @@ def _would_write(stage: str, config: dict) -> list[str]:
 def _check_config(config: dict, stages: list[str]) -> None:
     """Reject, before any stage runs, the values that a stage in ``stages``
     would refuse only once it runs, after earlier stages have written their
-    artifacts; the library keeps its own checks of the same values."""
+    artifacts; most of these are the library's own checks, run early."""
     if config["mesh"]["mode"] == "msh" and not config["mesh"]["msh_path"]:
         raise ValueError("mesh.mode 'msh' requires mesh.msh_path")
     if "tensor" in stages or "kernel" in stages:
@@ -246,34 +245,12 @@ def _check_config(config: dict, stages: list[str]) -> None:
         if not kc["epsilon"] >= 0.0:
             raise ValueError(f"kernel.epsilon must be >= 0, got {kc['epsilon']}")
     if "solve" in stages:
-        _check_solve_config(config["macro"])
-
-
-def _check_solve_config(mac: dict) -> None:
-    """Reject a u0 that does not resolve, a macro step that is not positive
-    and finite or does not divide a finite t_end >= 0 into whole steps, a
-    sigma outside [0, 1], a mesh of no cells and a snapshot time outside
-    [0, t_end]."""
-    _resolve_u0(mac["u0"])
-    tau, t_end = mac["tau"], mac["t_end"]
-    if not (math.isfinite(tau) and tau > 0.0):
-        raise ValueError(f"macro.tau must be positive and finite, got {tau}")
-    if not (math.isfinite(t_end) and t_end >= 0.0):
-        raise ValueError(f"macro.t_end must be finite and >= 0, got {t_end}")
-    levels = t_end / tau
-    if not math.isfinite(levels) or abs(levels - round(levels)) > 1e-9 * levels:
-        raise ValueError(
-            f"macro.t_end={mac['t_end']} is not a whole number of steps of "
-            f"macro.tau={mac['tau']}"
-        )
-    if not 0.0 <= mac["sigma"] <= 1.0:
-        raise ValueError(f"macro.sigma must lie in [0, 1], got {mac['sigma']}")
-    if mac["n"] < 1:
-        raise ValueError(f"macro.n must be >= 1, got {mac['n']}")
-    for t in mac["snapshot_times"]:
-        if not (math.isfinite(t / tau) and 0 <= round(t / tau) <= round(levels)):
-            raise ValueError(f"macro.snapshot_times entry {t} lies outside "
-                             f"[0, macro.t_end={t_end}]")
+        mac = config["macro"]
+        _resolve_u0(mac["u0"])
+        macro.check_time_grid(mac["tau"], mac["t_end"], mac["sigma"],
+                              mac["snapshot_times"])
+        if mac["n"] < 1:
+            raise ValueError(f"macro.n must be >= 1, got {mac['n']}")
 
 
 def _check_output_dir(outdir: Path, stages: list[str], config: dict, force: bool):

@@ -179,7 +179,7 @@ def filter_kernel(kernel: KernelApproximation, eps: float,
     terms' delta weights a_k / lambda_k to it, preserving the total-weight
     identity of the unfiltered kernel.
     """
-    if eps < 0.0:
+    if not eps >= 0.0:  # also catches NaN
         raise ValueError(f"filter threshold must be >= 0, got {eps}")
     keep = kernel.amplitudes >= eps
     dropped = float(kernel.amplitudes[~keep].sum())

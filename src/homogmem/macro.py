@@ -17,6 +17,7 @@ rather than K products with M.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -30,6 +31,26 @@ from .mesh import TriMesh
 
 # relative residual every macro linear solve must meet
 _SOLVER_TOL = 1e-12
+
+
+def check_time_grid(tau: float, t_end: float, sigma: float, snapshot_times=()) -> None:
+    """Reject a step ``tau`` that is not positive and finite or does not
+    divide a finite ``t_end >= 0`` into whole steps, a ``sigma`` outside
+    [0, 1] and a snapshot time outside [0, t_end]."""
+    if not (math.isfinite(tau) and tau > 0.0):
+        raise ValueError(f"macro.tau must be positive and finite, got {tau}")
+    if not (math.isfinite(t_end) and t_end >= 0.0):
+        raise ValueError(f"macro.t_end must be finite and >= 0, got {t_end}")
+    levels = t_end / tau
+    if not math.isfinite(levels) or abs(levels - round(levels)) > 1e-9 * levels:
+        raise ValueError(f"macro.t_end={t_end} is not a whole number of steps "
+                         f"of macro.tau={tau}")
+    if not 0.0 <= sigma <= 1.0:
+        raise ValueError(f"macro.sigma must lie in [0, 1], got {sigma}")
+    for t in snapshot_times:
+        if not (math.isfinite(t / tau) and 0 <= round(t / tau) <= round(levels)):
+            raise ValueError(f"macro.snapshot_times entry {t} lies outside "
+                             f"[0, macro.t_end={t_end}]")
 
 
 @dataclass(frozen=True)
@@ -51,12 +72,7 @@ class MacroProblem:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if self.tau <= 0.0:
-            raise ValueError(f"time step must be positive, got {self.tau}")
-        if not 0.0 <= self.sigma <= 1.0:
-            raise ValueError(f"sigma must lie in [0, 1], got {self.sigma}")
-        if self.t_end < 0.0:
-            raise ValueError(f"final time must be >= 0, got {self.t_end}")
+        check_time_grid(self.tau, self.t_end, self.sigma)
 
     @property
     def conditionally_stable(self) -> bool:
@@ -191,14 +207,12 @@ def run(problem: MacroProblem, snapshot_times=()) -> RunResult:
     full nodal vectors (zeros on the Dirichlet boundary).  Raises
     ConvergenceError at the first level whose energy is not finite.
     """
+    check_time_grid(problem.tau, problem.t_end, problem.sigma, snapshot_times)
     n_steps = problem.n_steps
     state = init_state(problem)
     snap_levels = {}
     for t_req in snapshot_times:
-        lvl = int(round(t_req / problem.tau))
-        if not 0 <= lvl <= n_steps:
-            raise ValueError(f"snapshot time {t_req} outside [0, {problem.t_end}]")
-        snap_levels.setdefault(lvl, t_req)
+        snap_levels.setdefault(int(round(t_req / problem.tau)), t_req)
 
     energies = np.empty(n_steps + 1)
     norms = np.empty(n_steps + 1)

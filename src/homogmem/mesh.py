@@ -222,12 +222,8 @@ def build_unit_square_mesh(n: int, label: int = OMEGA) -> TriMesh:
     upper = np.column_stack([v00, v11, v01])
     triangles = np.vstack([lower, upper])
 
-    side = np.arange(n)
-    bottom = np.column_stack([side, side + 1])
-    top = bottom + n * (n + 1)
-    left = np.column_stack([side * (n + 1), (side + 1) * (n + 1)])
-    right = left + n
-    boundary_edges = np.sort(np.vstack([bottom, right, top, left]), axis=1)
+    uniq, _, counts = _edge_incidence(triangles)
+    boundary_edges = uniq[counts == 1]
     boundary_tags = np.full(boundary_edges.shape[0], OUTER)
 
     return TriMesh(
@@ -265,39 +261,28 @@ def _longest_edge(poly: np.ndarray) -> float:
     return float(np.linalg.norm(np.roll(poly, -1, axis=0) - poly, axis=1).max())
 
 
-def _clear_of_polygon(points: np.ndarray, poly: np.ndarray,
-                      clear: float) -> np.ndarray:
-    """``_point_segment_distance(points, poly) >= clear``, row for row.
+def _polygon_sides(points: np.ndarray, geom: CellGeometry, poly: np.ndarray,
+                   clear: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per point, whether it lies at least ``clear`` from the inscribed
+    polygon ``poly`` of ``geom`` (``_point_segment_distance >= clear``) and
+    whether it lies inside it (``_inside_convex_polygon``), row for row.
 
     The polygon is never nearer than the nearest vertex minus half the
-    longest edge, so a k-d tree on the vertices settles every point outside
-    a band around the polygon; only the band gets exact segment distances.
+    longest edge, and a point farther than two edge lengths from every
+    vertex cannot lie between the polygon and the ellipse.  So one k-d tree
+    query on the vertices settles every point outside a band around the
+    polygon, where the ellipse equation decides the side; only the band
+    gets exact segment distances and the exact inside test.
     """
     max_edge = _longest_edge(poly)
-    reach = clear + max_edge
+    reach = max(clear + max_edge, 2.0 * max_edge)
     band = np.isfinite(cKDTree(poly).query(points, distance_upper_bound=reach)[0])
-    out = np.ones(points.shape[0], dtype=bool)
-    out[band] = _point_segment_distance(points[band], poly) >= clear
-    return out
-
-
-def _inside_inscribed_polygon(points: np.ndarray, geom: CellGeometry,
-                              poly: np.ndarray) -> np.ndarray:
-    """``_inside_convex_polygon(points, poly)`` for an inscribed polygon of
-    ``geom``, row for row.
-
-    A point farther than two edge lengths from every vertex cannot lie
-    between the polygon and the ellipse, so the ellipse equation decides it;
-    only points nearer than that get the exact polygon test.
-    """
-    max_edge = _longest_edge(poly)
+    is_clear = np.ones(points.shape[0], dtype=bool)
+    is_clear[band] = _point_segment_distance(points[band], poly) >= clear
     local = (points - np.asarray(geom.center)) @ geom.local_frame()
     inside = (local[:, 0] / geom.b) ** 2 + (local[:, 1] / geom.a) ** 2 < 1.0
-    near = np.isfinite(
-        cKDTree(poly).query(points, distance_upper_bound=2.0 * max_edge)[0]
-    )
-    inside[near] = _inside_convex_polygon(points[near], poly)
-    return inside
+    inside[band] = _inside_convex_polygon(points[band], poly)
+    return is_clear, inside
 
 
 def build_cell_mesh(geom: CellGeometry, h: float, n_arc: int = 128) -> TriMesh:
@@ -314,9 +299,8 @@ def build_cell_mesh(geom: CellGeometry, h: float, n_arc: int = 128) -> TriMesh:
     Polygon queries are local, so memory grows with the grid and not with
     grid times ``n_arc``: a k-d tree on the polygon vertices picks the thin
     band of grid points that need exact point-segment distances and the
-    centroids near enough to the polygon to need the exact inside test; the
-    other centroids are labeled by the ellipse equation.  Edges are compared
-    as one integer key each.
+    exact inside test; the other grid points are sided by the ellipse
+    equation.  Edges are compared as one integer key each.
     """
     check_cell_mesh_args(h, n_arc)
     poly = geom.boundary_polygon(n_arc)
@@ -335,13 +319,13 @@ def build_cell_mesh(geom: CellGeometry, h: float, n_arc: int = 128) -> TriMesh:
     coords = np.linspace(0.0, 1.0, n + 1)
     grid[:, 0] = np.tile(coords, n + 1)
     grid[:, 1] = np.repeat(coords, n + 1)
-    grid = grid[_clear_of_polygon(grid, poly, clear)]
+    is_clear, inside = _polygon_sides(grid, geom, poly, clear)
+    grid = grid[is_clear]
 
     points = np.vstack([grid, poly])
     tri = Delaunay(points)
     triangles = _fix_orientation(points, np.asarray(tri.simplices, dtype=np.int64))
-    p = points[triangles]
-    areas = _signed_areas(p)
+    areas = _signed_areas(points[triangles])
     if areas.min() <= 1e-14:
         raise GeometryError("triangulation produced a degenerate triangle")
 
@@ -356,8 +340,11 @@ def build_cell_mesh(geom: CellGeometry, h: float, n_arc: int = 128) -> TriMesh:
             "decrease n_arc or refine h"
         )
 
-    inside = _inside_inscribed_polygon(p.mean(axis=1), geom, poly)
-    subdomain = np.where(inside, Y2, Y1)
+    # the polygon is convex, every kept grid point lies off it and every
+    # polygon edge is a mesh edge, so a triangle lies inside the polygon
+    # exactly when each of its corners is a polygon vertex or an inside point
+    in_y2 = np.concatenate([inside[is_clear], np.ones(n_arc, dtype=bool)])
+    subdomain = np.where(in_y2[triangles].all(axis=1), Y2, Y1)
 
     # frame edges have one incident triangle; interface edges separate labels
     nt = triangles.shape[0]
@@ -597,6 +584,16 @@ _MSH_POINT = 15
 _MSH_NODE_COUNTS = {_MSH_LINE: 2, _MSH_TRIANGLE: 3, _MSH_POINT: 1}
 
 
+def _msh_number(kind, field: str, section: str, line: str):
+    """``kind(field)`` for a field of ``line`` in ``section``; a field that
+    does not convert is a MeshFormatError quoting the line."""
+    try:
+        return kind(field)
+    except ValueError:
+        raise MeshFormatError(
+            f"${section} line {line!r} has a non-numeric field {field!r}") from None
+
+
 def read_msh(path, subdomain_map: dict[int, str] | None = None,
              boundary_map: dict[int, str] | None = None) -> TriMesh:
     """Read the ASCII MSH 2.2 subset: nodes, 2-node lines, 3-node triangles.
@@ -644,7 +641,7 @@ def read_msh(path, subdomain_map: dict[int, str] | None = None,
         raise MeshFormatError("missing or empty $Nodes or $Elements section")
 
     node_lines = sections["Nodes"]
-    n_nodes = int(node_lines[0])
+    n_nodes = _msh_number(int, node_lines[0], "Nodes", node_lines[0])
     if len(node_lines) - 1 != n_nodes:
         raise MeshFormatError("node count does not match $Nodes header")
     ids = np.empty(n_nodes, dtype=np.int64)
@@ -653,8 +650,8 @@ def read_msh(path, subdomain_map: dict[int, str] | None = None,
         parts = ln.split()
         if len(parts) != 4:
             raise MeshFormatError(f"$Nodes line {ln!r} is not 'id x y z'")
-        ids[k] = int(parts[0])
-        x, y = float(parts[1]), float(parts[2])
+        ids[k] = _msh_number(int, parts[0], "Nodes", ln)
+        x, y, _ = (_msh_number(float, p, "Nodes", ln) for p in parts[1:])
         if not (math.isfinite(x) and math.isfinite(y)):
             raise MeshFormatError(f"$Nodes line {ln!r} has a non-finite coordinate")
         coords[k] = (x, y)
@@ -662,10 +659,11 @@ def read_msh(path, subdomain_map: dict[int, str] | None = None,
 
     tris, sub, edges, tags = [], [], [], []
     elem_lines = sections["Elements"]
-    if len(elem_lines) - 1 != int(elem_lines[0]):
+    n_elements = _msh_number(int, elem_lines[0], "Elements", elem_lines[0])
+    if len(elem_lines) - 1 != n_elements:
         raise MeshFormatError("element count does not match $Elements header")
     for ln in elem_lines[1:]:
-        parts = [int(p) for p in ln.split()]
+        parts = [_msh_number(int, p, "Elements", ln) for p in ln.split()]
         if len(parts) < 3 or len(parts) < 3 + parts[2]:
             raise MeshFormatError(f"$Elements line {ln!r} is too short")
         etype, ntags = parts[1], parts[2]

@@ -1,4 +1,5 @@
 """CLI pipeline: config handling, artifacts, schemas, exit codes."""
+import ast
 import functools
 import importlib.util
 import json
@@ -80,7 +81,8 @@ def load_schema(name: str) -> dict:
 
 
 MSH_MUTATIONS = ("truncated-line", "node-count", "unknown-node",
-                 "duplicated-triangle", "flipped-triangle", "non-finite-coordinate")
+                 "duplicated-triangle", "flipped-triangle", "non-finite-coordinate",
+                 "non-numeric-field")
 
 
 @functools.cache
@@ -97,8 +99,9 @@ def mutate_msh(lines, kind: str, draw) -> list[str]:
     """``lines`` with one defect of ``kind`` (one of ``MSH_MUTATIONS``),
     its place drawn by ``draw``: a data line cut after fewer of its fields,
     a wrong $Nodes count, an element naming a node id no node has, a
-    triangle listed twice, a triangle listed clockwise, or a node
-    coordinate that is not finite."""
+    triangle listed twice, a triangle listed clockwise, a node
+    coordinate that is not finite, or a field or count of $Nodes or
+    $Elements that is not a number."""
     lines = list(lines)
     nodes, elems = lines.index("$Nodes"), lines.index("$Elements")
     n_nodes = int(lines[nodes + 1])
@@ -126,6 +129,13 @@ def mutate_msh(lines, kind: str, draw) -> list[str]:
         parts = lines[k].split()
         parts[draw(st.sampled_from([1, 2]))] = draw(
             st.sampled_from(["nan", "inf", "-inf"]))
+        lines[k] = " ".join(parts)
+    elif kind == "non-numeric-field":
+        k = draw(st.sampled_from([i for i in range(nodes + 1, len(lines) - 1)
+                                  if not lines[i].startswith("$")]))
+        parts = lines[k].split()
+        parts[draw(st.integers(0, len(parts) - 1))] = draw(
+            st.sampled_from(["x", "abc", "nine", "1,5", "0x1"]))
         lines[k] = " ".join(parts)
     else:  # two corners swapped
         k = draw(st.sampled_from(tri_rows))
@@ -673,6 +683,20 @@ def load_bench_workloads():
     sys.modules[spec.name] = module  # dataclasses look their module up
     spec.loader.exec_module(module)
     return module
+
+
+def test_bench_layer_names_resolve():
+    # the benchmark's layer trace wraps these module attributes by name, and
+    # a name it cannot find is only reported as absent in a traced run
+    path = Path(__file__).resolve().parents[1] / "bench" / "layertrace.py"
+    wrapped = next(
+        ast.literal_eval(node.value) for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["WRAPPED"]
+    )
+    missing = [f"{module}.{attr}" for module, attr in wrapped
+               if not hasattr(importlib.import_module(f"homogmem.{module}"), attr)]
+    assert wrapped and not missing
 
 
 class TestU0Expression:

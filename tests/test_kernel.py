@@ -1,5 +1,6 @@
 """Memory-kernel construction, filtering, evaluation, serialization."""
 import json
+import math
 from dataclasses import replace
 from importlib import resources
 
@@ -206,8 +207,9 @@ class TestFilter:
         assert twice.dropped_mass == 0.0
 
     def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            ker.filter_kernel(make_kernel([1.0], [1.0]), -1e-9)
+        for eps in (-1e-9, math.nan):
+            with pytest.raises(ValueError, match="filter threshold must be >= 0"):
+                ker.filter_kernel(make_kernel([1.0], [1.0]), eps)
 
     def test_reference_filter_drops_almost_nothing(self, filtered_kernel):
         # the centered-ellipse symmetry forces odd-mode means to vanish (the

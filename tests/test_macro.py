@@ -1,4 +1,6 @@
 """Macro time stepping: hand recurrences, block-system equivalence, energy."""
+import math
+
 import numpy as np
 import pytest
 
@@ -252,8 +254,9 @@ class TestValidation:
         good = dict(mesh=mesh, tensor=np.eye(2), kernel=kernel, u0=mode_u0,
                     tau=1e-2, t_end=1e-1)
         macro.MacroProblem(**good)
-        for bad in ({"tau": 0.0}, {"sigma": 1.2}, {"sigma": -0.1},
-                    {"t_end": -1.0}):
+        for bad in ({"tau": 0.0}, {"tau": math.nan}, {"tau": math.inf},
+                    {"sigma": 1.2}, {"sigma": -0.1}, {"t_end": -1.0},
+                    {"t_end": math.inf}, {"t_end": 1.05e-1}):
             with pytest.raises(ValueError):
                 macro.MacroProblem(**{**good, **bad})
 

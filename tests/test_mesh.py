@@ -102,6 +102,20 @@ class TestUnitSquareMesh:
         assert (mesh.subdomain == msh.OMEGA).all()
         msh.validate_mesh(mesh)
 
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_boundary_is_the_open_edges(self, n):
+        mesh = msh.build_unit_square_mesh(n)
+        assert mesh.boundary_edges.shape == (4 * n, 2)
+        assert (mesh.boundary_tags == msh.OUTER).all()
+        ends = mesh.vertices[mesh.boundary_edges]
+        # each edge lies on one side of the frame and spans one grid step
+        on_side = (ends == 0.0) | (ends == 1.0)
+        assert (on_side[:, 0] & on_side[:, 1]).any(axis=1).all()
+        np.testing.assert_allclose(
+            np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1), 1.0 / n)
+        edges = {tuple(e) for e in mesh.boundary_edges.tolist()}
+        assert len(edges) == 4 * n and all(a < b for a, b in edges)
+
     def test_label_override(self):
         mesh = msh.build_unit_square_mesh(3, label=msh.Y1)
         assert (mesh.subdomain == msh.Y1).all()
@@ -263,14 +277,11 @@ class TestCellMeshMatchesDenseReference:
         inside = msh._inside_convex_polygon(pts, poly)
         in_ellipse = r < 1.0
         assert (in_ellipse & ~inside).sum() > 100
-        np.testing.assert_array_equal(
-            msh._inside_inscribed_polygon(pts, geom, poly), inside
-        )
         dist = msh._point_segment_distance(pts, poly)
         for clear in (0.001, 0.01, 0.05):
-            np.testing.assert_array_equal(
-                msh._clear_of_polygon(pts, poly, clear), dist >= clear
-            )
+            is_clear, got_inside = msh._polygon_sides(pts, geom, poly, clear)
+            np.testing.assert_array_equal(is_clear, dist >= clear)
+            np.testing.assert_array_equal(got_inside, inside)
 
     def test_edge_incidence_matches_row_unique(self, ref_geom, coarse_cell_mesh):
         inclusion = msh.build_inclusion_mesh(ref_geom, 1.0 / 48, n_arc=128)
@@ -525,6 +536,7 @@ class TestSerialization:
         ("2.2 0", "4", "is not 'version file-type data-size'"),
         ("", "4", "is not 'version file-type data-size'"),
         ("2.2 0 8", None, "empty \\$Nodes"),
+        ("2.2 0 8", "nine", "line 'nine'"),
     ])
     def test_msh_rejects_bad_header_lines(self, tmp_path, fmt, count, message):
         nodes = "" if count is None else f"{count}\n1 0 0 0\n2 1 0 0\n3 1 1 0\n4 0 1 0\n"
@@ -560,8 +572,11 @@ class TestSerialization:
         (None, "1 0.0"),
         (None, "1 nan 0.0 0"),
         (None, "1 0.0 -inf 0"),
+        (None, "1 abc 0.0 0"),
+        (lambda f: f[:3] + ["x"] + f[4:], None),
     ], ids=["short-element", "two-node-triangle", "unknown-node", "tags-cut-off",
-            "short-node", "nan-node", "infinite-node"])
+            "short-node", "nan-node", "infinite-node", "non-numeric-node",
+            "non-numeric-element"])
     def test_msh_rejects_malformed_lines(self, tmp_path, mutate, bad_line):
         path = tmp_path / "cell.msh"
         write_msh(msh.build_unit_square_mesh(2), path)
