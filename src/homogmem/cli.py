@@ -29,7 +29,6 @@ DEFAULT_CONFIG: dict = {
         "n_arc": 256,
         "msh_path": None,
         "subdomain_tags": None,
-        "boundary_tags": None,
     },
     "kernel": {
         "m": 100,
@@ -56,7 +55,6 @@ _LEAF_TYPES = {
     "macro.tensor_path": (str, type(None)),
     "macro.kernel_path": (str, type(None)),
     "mesh.subdomain_tags": (dict, type(None)),
-    "mesh.boundary_tags": (dict, type(None)),
     "macro.u0": (str, dict),
 }
 # The leaves (or list elements) that must be one of a few names.
@@ -127,9 +125,14 @@ def _cell_mesh(config: dict, geom: msh.CellGeometry) -> msh.TriMesh:
     if mc["mode"] == "builtin":
         mesh = msh.build_cell_mesh(geom, h=mc["h"], n_arc=mc["n_arc"])
     else:
-        sub_map = {int(k): v for k, v in (mc["subdomain_tags"] or {}).items()} or None
-        bnd_map = {int(k): v for k, v in (mc["boundary_tags"] or {}).items()} or None
-        mesh = msh.read_msh(mc["msh_path"], subdomain_map=sub_map, boundary_map=bnd_map)
+        sub_map = {}
+        for key, name in (mc["subdomain_tags"] or {}).items():
+            try:
+                sub_map[int(key)] = name
+            except ValueError:
+                raise ValueError(f"mesh.subdomain_tags key {key!r} is not an "
+                                 "integer physical group") from None
+        mesh = msh.read_msh(mc["msh_path"], subdomain_map=sub_map or None)
         # the built-in mesher checks its own invariants; a file is checked here
         msh.validate_mesh(mesh)
     return msh.periodic_pairs(mesh)
@@ -284,7 +287,7 @@ def _dump_json(payload: dict, path: Path) -> None:
         json.dump(payload, fh, indent=2, sort_keys=True)
 
 
-def cmd_tensor(config: dict, outdir: Path) -> dict:
+def cmd_tensor(config: dict, outdir: Path) -> None:
     geom = msh.CellGeometry(**config["cell"])
     mesh = _cell_mesh(config, geom)
     correctors = cell_mod.solve_correctors(mesh, geom)
@@ -306,10 +309,9 @@ def cmd_tensor(config: dict, outdir: Path) -> dict:
                 correctors.mesh, comp.theta,
                 outdir / f"corrector_{comp.direction}.csv", name="theta",
             )
-    return payload
 
 
-def cmd_kernel(config: dict, outdir: Path) -> dict:
+def cmd_kernel(config: dict, outdir: Path) -> None:
     geom = msh.CellGeometry(**config["cell"])
     kc = config["kernel"]
     kmesh = kc["mesh"]
@@ -319,7 +321,7 @@ def cmd_kernel(config: dict, outdir: Path) -> dict:
         mesh = _cell_mesh(config, geom)
     raw = kernel_mod.build_kernel(mesh, geom, kc["m"])
     filtered = kernel_mod.filter_kernel(raw, kc["epsilon"], fold=kc["fold_rho"])
-    kernel_mod.save_kernel_json(filtered, outdir / "kernel.json")
+    _dump_json(kernel_mod.kernel_to_json(filtered), outdir / "kernel.json")
     if filtered.rates.size:
         t_hi = 20.0 / filtered.rates.min()
         t_lo = 1e-4 / filtered.rates.max()
@@ -330,10 +332,9 @@ def cmd_kernel(config: dict, outdir: Path) -> dict:
         outdir / "kernel_samples.csv",
         {"t": ts, "chi": np.atleast_1d(kernel_mod.eval_kernel(filtered, ts))},
     )
-    return kernel_mod.kernel_to_json(filtered)
 
 
-def cmd_solve(config: dict, outdir: Path) -> dict:
+def cmd_solve(config: dict, outdir: Path) -> None:
     mac = config["macro"]
     tensor_path = Path(mac["tensor_path"] or outdir / "tensor.json")
     kernel_path = Path(mac["kernel_path"] or outdir / "kernel.json")
@@ -343,7 +344,8 @@ def cmd_solve(config: dict, outdir: Path) -> dict:
         raise FileNotFoundError(f"kernel not found at {kernel_path}")
     with open(tensor_path) as fh:
         tensor = np.asarray(json.load(fh)["d"], dtype=float)
-    ker = kernel_mod.load_kernel_json(kernel_path)
+    with open(kernel_path) as fh:
+        ker = kernel_mod.kernel_from_json(json.load(fh))
 
     mesh = msh.build_unit_square_mesh(mac["n"])
     problem = macro.MacroProblem(
@@ -389,7 +391,6 @@ def cmd_solve(config: dict, outdir: Path) -> dict:
         "warnings": warnings_list,
     }
     _dump_json(summary, outdir / "summary.json")
-    return summary
 
 
 def build_parser() -> argparse.ArgumentParser:

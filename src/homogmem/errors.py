@@ -19,9 +19,12 @@ class MeshFormatError(HomogError, ValueError):
 
 
 class ConvergenceError(HomogError, RuntimeError):
-    """An iterative solver stopped before reaching its tolerance.
+    """A numerical failure: a linear solve or eigensolve missed its
+    tolerance, a factorisation met a singular matrix, or the time stepping
+    reached a non-finite state.
 
-    The achieved relative residual is kept in ``residual``.
+    The achieved relative residual, when there is one, is kept in
+    ``residual``.
     """
 
     def __init__(self, message: str, residual: float | None = None):

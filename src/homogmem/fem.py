@@ -73,11 +73,14 @@ def _coefficient_tensor(coeff) -> np.ndarray:
     """Validate and return the 2x2 SPD diffusion tensor for a scalar/matrix."""
     d = np.asarray(coeff, dtype=float)
     if d.ndim == 0:
-        if d <= 0.0:
-            raise ValueError(f"scalar coefficient must be positive, got {coeff}")
+        if not 0.0 < d < np.inf:  # also catches NaN
+            raise ValueError(
+                f"scalar coefficient must be positive and finite, got {coeff}")
         return float(d) * np.eye(2)
     if d.shape != (2, 2):
         raise ValueError(f"tensor coefficient must be 2x2, got shape {d.shape}")
+    if not np.isfinite(d).all():
+        raise ValueError(f"tensor coefficient must be finite, got {d.tolist()}")
     if np.abs(d - d.T).max() > 1e-12 * max(1.0, np.abs(d).max()):
         raise ValueError("tensor coefficient must be symmetric")
     if np.linalg.eigvalsh(d).min() <= 0.0:

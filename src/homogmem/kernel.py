@@ -9,7 +9,6 @@ truncation level because each a_k / lambda_k telescopes against r.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -258,13 +257,3 @@ def kernel_from_json(data: dict) -> KernelApproximation:
         dropped_mass=float(data.get("rho", 0.0)),
         y2_measure_analytic=data.get("y2_measure_analytic"),
     )
-
-
-def save_kernel_json(kernel: KernelApproximation, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(kernel_to_json(kernel), fh, indent=2, sort_keys=True)
-
-
-def load_kernel_json(path) -> KernelApproximation:
-    with open(path) as fh:
-        return kernel_from_json(json.load(fh))

@@ -193,6 +193,20 @@ def _edge_incidence(triangles: np.ndarray):
     return np.column_stack([keys // nv, keys % nv]), inverse, counts
 
 
+def _labelled_boundary(triangles: np.ndarray,
+                       subdomain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary edges and tags that the triangles and their labels define:
+    the open edges tagged OUTER, then the edges shared by a Y1 and a Y2
+    triangle tagged INCLUSION, each in ascending edge-key order."""
+    uniq, inverse, counts = _edge_incidence(triangles)
+    label_sum = np.bincount(inverse, weights=np.tile(subdomain, 3),
+                            minlength=counts.size)
+    outer = counts == 1
+    interface = (counts == 2) & (label_sum == Y1 + Y2)
+    tags = np.repeat([OUTER, INCLUSION], [outer.sum(), interface.sum()])
+    return np.vstack([uniq[outer], uniq[interface]]), tags
+
+
 def _fix_orientation(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     flip = _signed_areas(vertices[triangles]) < 0.0
     out = triangles.copy()
@@ -222,14 +236,12 @@ def build_unit_square_mesh(n: int, label: int = OMEGA) -> TriMesh:
     upper = np.column_stack([v00, v11, v01])
     triangles = np.vstack([lower, upper])
 
-    uniq, _, counts = _edge_incidence(triangles)
-    boundary_edges = uniq[counts == 1]
-    boundary_tags = np.full(boundary_edges.shape[0], OUTER)
-
+    subdomain = np.full(triangles.shape[0], label, dtype=int)
+    boundary_edges, boundary_tags = _labelled_boundary(triangles, subdomain)
     return TriMesh(
         vertices=vertices,
         triangles=triangles,
-        subdomain=np.full(triangles.shape[0], label, dtype=int),
+        subdomain=subdomain,
         boundary_edges=boundary_edges,
         boundary_tags=boundary_tags,
     )
@@ -329,47 +341,31 @@ def build_cell_mesh(geom: CellGeometry, h: float, n_arc: int = 128) -> TriMesh:
     if areas.min() <= 1e-14:
         raise GeometryError("triangulation produced a degenerate triangle")
 
+    # the polygon is convex and every kept grid point lies off it, so once
+    # every polygon edge is a mesh edge, a triangle lies inside the polygon
+    # exactly when each of its corners is a polygon vertex or an inside
+    # point; the interface check below establishes that premise
+    in_y2 = np.concatenate([inside[is_clear], np.ones(n_arc, dtype=bool)])
+    subdomain = np.where(in_y2[triangles].all(axis=1), Y2, Y1)
+    boundary_edges, boundary_tags = _labelled_boundary(triangles, subdomain)
+
+    # equal interface keys also mean that every polygon edge is a mesh edge
     nv = points.shape[0]
     ring = grid.shape[0] + np.arange(n_arc)
     wanted = np.sort(_edge_keys(np.column_stack([ring, np.roll(ring, -1)]), nv))
-    uniq, inverse, counts = _edge_incidence(triangles)
-    keys = _edge_keys(uniq, nv)
-    if not np.isin(wanted, keys).all():
+    interface = _edge_keys(boundary_edges[boundary_tags == INCLUSION], nv)
+    if not np.array_equal(interface, wanted):
         raise GeometryError(
-            "inclusion polygon edge missing from triangulation; "
+            "material interface does not match the inclusion polygon; "
             "decrease n_arc or refine h"
         )
-
-    # the polygon is convex, every kept grid point lies off it and every
-    # polygon edge is a mesh edge, so a triangle lies inside the polygon
-    # exactly when each of its corners is a polygon vertex or an inside point
-    in_y2 = np.concatenate([inside[is_clear], np.ones(n_arc, dtype=bool)])
-    subdomain = np.where(in_y2[triangles].all(axis=1), Y2, Y1)
-
-    # frame edges have one incident triangle; interface edges separate labels
-    nt = triangles.shape[0]
-    outer_mask = counts == 1
-    label_sum = np.bincount(
-        inverse, weights=subdomain[np.tile(np.arange(nt), 3)], minlength=keys.size
-    )
-    interface_mask = (counts == 2) & (label_sum == Y1 + Y2)
-    if not np.array_equal(keys[interface_mask], wanted):
-        raise GeometryError("material interface does not match the polygon")
-
-    boundary_edges = np.vstack([uniq[outer_mask], uniq[interface_mask]])
-    boundary_tags = np.concatenate(
-        [
-            np.full(int(outer_mask.sum()), OUTER),
-            np.full(int(interface_mask.sum()), INCLUSION),
-        ]
-    )
     on_frame = (
         np.isclose(points[:, 0], 0.0)
         | np.isclose(points[:, 0], 1.0)
         | np.isclose(points[:, 1], 0.0)
         | np.isclose(points[:, 1], 1.0)
     )
-    if not on_frame[np.unique(uniq[outer_mask])].all():
+    if not on_frame[boundary_edges[boundary_tags == OUTER]].all():
         raise GeometryError("open boundary edge off the unit square frame")
 
     return TriMesh(
@@ -594,19 +590,23 @@ def _msh_number(kind, field: str, section: str, line: str):
             f"${section} line {line!r} has a non-numeric field {field!r}") from None
 
 
-def read_msh(path, subdomain_map: dict[int, str] | None = None,
-             boundary_map: dict[int, str] | None = None) -> TriMesh:
-    """Read the ASCII MSH 2.2 subset: nodes, 2-node lines, 3-node triangles.
+def read_msh(path, subdomain_map: dict[int, str] | None = None) -> TriMesh:
+    """Read the ASCII MSH 2.2 subset: nodes, 3-node triangles, and 2-node
+    line and 1-node point elements, which are checked and then ignored.
 
-    Physical-group integers select subdomain labels for triangles and tags
-    for boundary lines through the two maps (by default the codes of
-    ``SUBDOMAIN_NAMES`` and of OUTER and INCLUSION).  Point elements are
-    ignored; anything else raises MeshFormatError.  Each subdomain is turned
-    counterclockwise as a whole, so a triangle listed against the
-    orientation of the rest of its subdomain comes back negative.
+    Physical-group integers select the subdomain labels of triangles through
+    ``subdomain_map`` (by default ``SUBDOMAIN_NAMES``); a map value that is
+    not a subdomain name is a ValueError, and any other defect of the file a
+    MeshFormatError.  Each subdomain is turned counterclockwise as a whole,
+    so a triangle listed against the orientation of the rest of its
+    subdomain comes back negative.  The boundary is the open edges, tagged
+    OUTER, and the edges between Y1 and Y2, tagged INCLUSION.
     """
-    sub_map = {0: "Omega", 1: "Y1", 2: "Y2"} if subdomain_map is None else subdomain_map
-    bnd_map = {1: "outer", 2: "inclusion"} if boundary_map is None else boundary_map
+    sub_map = SUBDOMAIN_NAMES if subdomain_map is None else subdomain_map
+    for name in sub_map.values():
+        if name not in SUBDOMAIN_NAMES.values():
+            raise ValueError(f"subdomain map value {name!r} is not one of "
+                             f"{', '.join(SUBDOMAIN_NAMES.values())}")
 
     with open(path) as fh:
         lines = [ln.strip() for ln in fh]
@@ -657,7 +657,7 @@ def read_msh(path, subdomain_map: dict[int, str] | None = None,
         coords[k] = (x, y)
     renum = {int(v): k for k, v in enumerate(ids)}
 
-    tris, sub, edges, tags = [], [], [], []
+    tris, sub = [], []
     elem_lines = sections["Elements"]
     n_elements = _msh_number(int, elem_lines[0], "Elements", elem_lines[0])
     if len(elem_lines) - 1 != n_elements:
@@ -678,18 +678,11 @@ def read_msh(path, subdomain_map: dict[int, str] | None = None,
         unknown = [v for v in nodes if v not in renum]
         if unknown:
             raise MeshFormatError(f"$Elements line {ln!r} names unknown nodes {unknown}")
-        if etype == _MSH_POINT:
-            continue
         if etype == _MSH_TRIANGLE:
             if phys not in sub_map:
                 raise MeshFormatError(f"unmapped physical group {phys} for a triangle")
             tris.append([renum[v] for v in nodes])
             sub.append(SUBDOMAIN_CODES[sub_map[phys]])
-        elif etype == _MSH_LINE:
-            if phys not in bnd_map:
-                raise MeshFormatError(f"unmapped physical group {phys} for a line")
-            edges.append(sorted(renum[v] for v in nodes))
-            tags.append(BOUNDARY_CODES[bnd_map[phys]])
     if not tris:
         raise MeshFormatError("file contains no triangles")
 
@@ -701,13 +694,7 @@ def read_msh(path, subdomain_map: dict[int, str] | None = None,
     turn = np.bincount(subdomain, weights=_signed_areas(coords[triangles]))
     flip = turn[subdomain] < 0.0
     triangles[flip] = triangles[flip][:, [0, 2, 1]]
-    if edges:
-        boundary_edges = np.asarray(edges, dtype=np.int64)
-        boundary_tags = np.asarray(tags, dtype=int)
-    else:
-        uniq, _, counts = _edge_incidence(triangles)
-        boundary_edges = uniq[counts == 1]
-        boundary_tags = np.full(boundary_edges.shape[0], OUTER)
+    boundary_edges, boundary_tags = _labelled_boundary(triangles, subdomain)
     return TriMesh(
         vertices=coords,
         triangles=triangles,

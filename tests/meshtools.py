@@ -1,6 +1,6 @@
 """Mesh helpers the tests share: the full inclusion disk mirrored from the
-quarter that ``build_inclusion_mesh`` returns, and an MSH 2.2 writer for
-``read_msh`` fixtures."""
+quarter that ``build_inclusion_mesh`` returns, and an MSH 2.2 writer and
+element edits for ``read_msh`` fixtures."""
 import numpy as np
 
 from homogmem import mesh as msh
@@ -72,3 +72,38 @@ def write_msh(mesh: msh.TriMesh, path) -> None:
             )
             eid += 1
         fh.write("$EndElements\n")
+
+
+# edits of the line elements that leave the triangles, and so the boundary
+# that read_msh derives from them, unchanged
+LINE_EDITS = ("no-lines", "swapped-line-tags", "missing-frame-line")
+
+
+def retag_elements(lines, groups: dict, etype: int | None = None) -> list[str]:
+    """MSH 2.2 ``lines`` with the physical and elementary tags of every
+    element (of type ``etype`` only, if given) renamed by ``groups``."""
+    lines = list(lines)
+    for i in range(lines.index("$Elements") + 2, lines.index("$EndElements")):
+        parts = lines[i].split()
+        if etype is None or int(parts[1]) == etype:
+            parts[3:5] = [str(groups.get(int(t), t)) for t in parts[3:5]]
+            lines[i] = " ".join(parts)
+    return lines
+
+
+def edit_line_elements(lines, kind: str) -> list[str]:
+    """MSH 2.2 ``lines`` as ``write_msh`` writes them with one of
+    ``LINE_EDITS``: every line element dropped, the OUTER and INCLUSION tags
+    of the line elements swapped, or the first OUTER line element dropped."""
+    if kind == "swapped-line-tags":
+        return retag_elements(
+            lines, {msh.OUTER: msh.INCLUSION, msh.INCLUSION: msh.OUTER}, etype=1)
+    lines = list(lines)
+    count = lines.index("$Elements") + 1
+    rows = [i for i in range(count + 1, lines.index("$EndElements"))
+            if lines[i].split()[1] == "1"]
+    if kind == "missing-frame-line":
+        rows = [next(i for i in rows if int(lines[i].split()[3]) == msh.OUTER)]
+    lines[count] = str(int(lines[count]) - len(rows))
+    drop = set(rows)
+    return [ln for i, ln in enumerate(lines) if i not in drop]

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from homogmem import cli, errors, mesh as msh
-from meshtools import write_msh
+from meshtools import LINE_EDITS, edit_line_elements, retag_elements, write_msh
 
 SMALL_CONFIG = {
     "cell": {"a": 0.3, "b": 0.15, "angle_deg": 20.0, "d1": 1.0, "d2": 1.0},
@@ -68,7 +68,6 @@ ACCEPTED_KINDS = {
     "macro.tensor_path": {"string", "null"},
     "macro.kernel_path": {"string", "null"},
     "mesh.subdomain_tags": {"object", "null"},
-    "mesh.boundary_tags": {"object", "null"},
     "macro.u0": {"string", "object"},
 }
 
@@ -144,6 +143,21 @@ def mutate_msh(lines, kind: str, draw) -> list[str]:
         parts[i], parts[j] = parts[j], parts[i]
         lines[k] = " ".join(parts)
     return lines
+
+
+def msh_tensor(work: Path, lines, *sets: str) -> tuple[int, str | None]:
+    """Exit code and tensor.json text of the tensor stage of the small config
+    on the MSH file ``lines``, with extra ``--set`` overrides; ``work`` holds
+    the file, the config and the output."""
+    work.mkdir(exist_ok=True)
+    msh_path = work / "cell.msh"
+    msh_path.write_text("\n".join(lines) + "\n")
+    out = work / "out"
+    rc = cli.main(["tensor", "--config", str(write_config(work)), "--out", str(out),
+                   "--set", 'mesh.mode="msh"', "--set", f'mesh.msh_path="{msh_path}"',
+                   *(arg for value in sets for arg in ("--set", value))])
+    tensor = out / "tensor.json"
+    return rc, tensor.read_text() if tensor.exists() else None
 
 
 @pytest.fixture(scope="module")
@@ -394,6 +408,23 @@ class TestStages:
         d_msh = json.loads((out2 / "tensor.json").read_text())["d"]
         assert d_builtin == d_msh
 
+    # the boundary comes from the triangles, so line elements change nothing
+    @pytest.mark.parametrize("edit", LINE_EDITS)
+    def test_msh_line_elements_do_not_change_the_tensor(self, tmp_path, edit):
+        rc, expected = msh_tensor(tmp_path / "intact", small_msh_lines())
+        assert rc == 0
+        lines = edit_line_elements(small_msh_lines(), edit)
+        assert msh_tensor(tmp_path / "edited", lines) == (0, expected)
+
+    def test_renumbered_physical_groups_need_only_subdomain_tags(self, pipeline_run,
+                                                                 tmp_path):
+        _, out = pipeline_run
+        lines = retag_elements(small_msh_lines(), {msh.Y1: 7, msh.Y2: 8})
+        rc, tensor = msh_tensor(tmp_path, lines,
+                                'mesh.subdomain_tags={"7": "Y1", "8": "Y2"}')
+        assert rc == 0
+        assert tensor == (out / "tensor.json").read_text()
+
 
 class TestExitCodes:
     def test_config_errors_exit_2(self, tmp_path):
@@ -521,6 +552,34 @@ class TestExitCodes:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: kernel")
         assert not (out2 / "summary.json").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_invalid_tensor_file_exits_2(self, pipeline_run, tmp_path, capsys, value):
+        config, out = pipeline_run
+        payload = json.loads((out / "tensor.json").read_text())
+        payload["d"][0][0] = float(value)
+        tensor_path = tmp_path / "tensor.json"
+        tensor_path.write_text(json.dumps(payload))
+        out2 = tmp_path / "solve"
+        rc = cli.main([
+            "solve", "--config", str(config), "--out", str(out2),
+            "--set", f'macro.tensor_path="{tensor_path}"',
+            "--set", f'macro.kernel_path="{out / "kernel.json"}"',
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: tensor")
+        assert not (out2 / "summary.json").exists()
+
+    @pytest.mark.parametrize("tags, message", [
+        ('{"1": "Foo", "2": "Y2"}', "'Foo' is not one of Omega, Y1, Y2"),
+        ('{"x": "Y1"}', "mesh.subdomain_tags key 'x' is not an integer"),
+    ], ids=["unknown-name", "non-integer-key"])
+    def test_bad_subdomain_tags_exit_2(self, tmp_path, capsys, tags, message):
+        rc, tensor = msh_tensor(tmp_path, small_msh_lines(),
+                                f"mesh.subdomain_tags={tags}")
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert tensor is None
 
     def test_misspelled_config_key_exits_2_before_any_stage(self, tmp_path):
         config = write_config(tmp_path, {

@@ -88,6 +88,11 @@ class TestAssemblyIdentities:
         with pytest.raises(ValueError):
             fem.assemble_stiffness(coarse_cell_mesh,
                                    np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(ValueError, match="positive and finite"):
+            fem.assemble_stiffness(coarse_cell_mesh, float("nan"))
+        with pytest.raises(ValueError, match="must be finite"):
+            fem.assemble_stiffness(coarse_cell_mesh,
+                                   np.array([[np.inf, 0.0], [0.0, 1.0]]))
         with pytest.raises(ValueError):
             fem.assemble_corrector_rhs(coarse_cell_mesh, 3)
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ from scipy.spatial import Delaunay
 
 from homogmem import mesh as msh
 from homogmem.errors import GeometryError, MeshFormatError, PeriodicityError
-from meshtools import mirror_quarter, write_msh
+from meshtools import LINE_EDITS, edit_line_elements, mirror_quarter, write_msh
 
 
 def polygon_area(points):
@@ -525,6 +525,19 @@ class TestSerialization:
         ref = dict(zip(map(tuple, np.sort(coarse_cell_mesh.boundary_edges, axis=1)),
                        coarse_cell_mesh.boundary_tags))
         assert tags == ref
+
+    @pytest.mark.parametrize("edit", LINE_EDITS)
+    def test_msh_boundary_comes_from_triangles(self, coarse_cell_mesh, tmp_path,
+                                               edit):
+        path = tmp_path / "cell.msh"
+        write_msh(coarse_cell_mesh, path)
+        intact = msh.read_msh(path)
+        lines = edit_line_elements(path.read_text().splitlines(), edit)
+        path.write_text("\n".join(lines) + "\n")
+        back = msh.read_msh(path)
+        for ref in (intact, coarse_cell_mesh):
+            np.testing.assert_array_equal(back.boundary_edges, ref.boundary_edges)
+            np.testing.assert_array_equal(back.boundary_tags, ref.boundary_tags)
 
     def test_msh_rejects_bad_version(self, tmp_path):
         path = tmp_path / "bad.msh"
