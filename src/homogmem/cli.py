@@ -334,18 +334,29 @@ def cmd_kernel(config: dict, outdir: Path) -> None:
     )
 
 
+def _read_input(path: Path, what: str, parse):
+    """``parse`` the JSON object in the ``what`` file at ``path``.  A missing
+    file is a FileNotFoundError; a payload that is not an object, or lacks a
+    key that ``parse`` reads, is a ValueError.  Each names the file."""
+    if not path.exists():
+        raise FileNotFoundError(f"{what} not found at {path}")
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} file {path} does not hold a JSON object")
+    try:
+        return parse(data)
+    except KeyError as err:
+        raise ValueError(f"{what} file {path} has no key {err}") from None
+
+
 def cmd_solve(config: dict, outdir: Path) -> None:
     mac = config["macro"]
     tensor_path = Path(mac["tensor_path"] or outdir / "tensor.json")
     kernel_path = Path(mac["kernel_path"] or outdir / "kernel.json")
-    if not tensor_path.exists():
-        raise FileNotFoundError(f"effective tensor not found at {tensor_path}")
-    if not kernel_path.exists():
-        raise FileNotFoundError(f"kernel not found at {kernel_path}")
-    with open(tensor_path) as fh:
-        tensor = np.asarray(json.load(fh)["d"], dtype=float)
-    with open(kernel_path) as fh:
-        ker = kernel_mod.kernel_from_json(json.load(fh))
+    tensor = _read_input(tensor_path, "effective tensor",
+                         lambda data: np.asarray(data["d"], dtype=float))
+    ker = _read_input(kernel_path, "kernel", kernel_mod.kernel_from_json)
 
     mesh = msh.build_unit_square_mesh(mac["n"])
     problem = macro.MacroProblem(

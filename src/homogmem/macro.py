@@ -8,12 +8,20 @@ every step solves a single SPD system
     [(1 + r + sigma*tau*alpha) M + sigma*tau*K] y^{n+1} = rhs(y^n, w^n),
 
 with alpha = sum_k a_k / (1 + sigma*lambda_k*tau).  That matrix is
-factorised once per run, so a step costs one sparse triangular solve pair
-plus a few products with M, K and the (K x N) block of auxiliary fields.
+factorised once per run.  One step costs:
+
+- the right-hand side: one product with M, one with K when sigma < 1, and
+  one (K x N) block-vector product for the memory term;
+- the factorised solve, a triangular solve pair, and its residual check,
+  one product with the step matrix;
+- the increment: one product M dy, K + 1 dot products with it, and the
+  auxiliary fields advanced in place by a row scaling and one BLAS rank-1
+  update of the (K x N) block.
+
 The discrete energy y'Ky + sum_k a_k w_k' M w_k is non-increasing for
-sigma >= 1/2; the quadratics q_k = w_k' M w_k are carried on the state and
-updated from the step increment, so the energy costs O(N + K) per level
-rather than K products with M.
+sigma >= 1/2.  The quadratics q_k = w_k' M w_k and the vector M y are
+carried on the state and updated from the increment, so the energy costs
+one product with K per level and the L2 norm one dot product.
 """
 from __future__ import annotations
 
@@ -23,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.linalg.blas import dger
 
 from . import fem, solvers
 from .errors import ConvergenceError
@@ -110,12 +119,13 @@ class _StepOperator:
 
 @dataclass
 class MacroState:
-    """Time level n: solution dofs y, auxiliary fields w_k (rows of w) and
-    their mass quadratics q_k = w_k' M w_k."""
+    """Time level n: solution dofs y, auxiliary fields w_k (rows of w),
+    their mass quadratics q_k = w_k' M w_k and the product m_y = M y."""
 
     y: np.ndarray
     w: np.ndarray
     q: np.ndarray
+    m_y: np.ndarray
     n: int
     ops: _StepOperator = field(repr=False)
 
@@ -148,11 +158,17 @@ def init_state(problem: MacroProblem) -> MacroState:
     y0 = _project_initial(problem, ops)
     n_terms = problem.kernel.amplitudes.size
     w0 = np.zeros((n_terms, ops.dofmap.n_dofs))
-    return MacroState(y=y0, w=w0, q=np.zeros(n_terms), n=0, ops=ops)
+    return MacroState(y=y0, w=w0, q=np.zeros(n_terms), m_y=ops.mass @ y0, n=0,
+                      ops=ops)
 
 
 def step(state: MacroState, problem: MacroProblem) -> MacroState:
-    """Advance one time level of the eliminated extended system."""
+    """Advance one time level of the eliminated extended system.
+
+    The auxiliary block is advanced in place: the returned level takes over
+    ``state.w`` (the same array when it is C-contiguous), so ``state`` must
+    not be read after the call.
+    """
     ops = state.ops
     sig, tau = problem.sigma, problem.tau
     rhs = ops.mass @ (ops.mass_weight * state.y - tau * (ops.gains @ state.w))
@@ -165,10 +181,14 @@ def step(state: MacroState, problem: MacroProblem) -> MacroState:
     dy = y_next - state.y
     m_dy = ops.mass @ dy
     q_next = d * d * state.q + 2.0 * d * g * (state.w @ m_dy) + g * g * (dy @ m_dy)
-    w_next = d[:, None] * state.w
-    for w_k, g_k in zip(w_next, g):
-        w_k += g_k * dy
-    return MacroState(y=y_next, w=w_next, q=q_next, n=state.n + 1, ops=ops)
+    w = state.w
+    w *= d[:, None]
+    if w.size:
+        # dger updates a Fortran-ordered (N, K) matrix in place; it copies a
+        # non-contiguous one, so the result is whatever it returns
+        w = dger(1.0, dy, g, a=w.T, overwrite_a=True).T
+    return MacroState(y=y_next, w=w, q=q_next, m_y=state.m_y + m_dy,
+                      n=state.n + 1, ops=ops)
 
 
 def energy(state: MacroState) -> float:
@@ -178,7 +198,8 @@ def energy(state: MacroState) -> float:
 
 
 def l2_norm(state: MacroState) -> float:
-    return float(np.sqrt(state.y @ (state.ops.mass @ state.y)))
+    """Discrete L2 norm sqrt(y'My) at the current level."""
+    return float(np.sqrt(state.y @ state.m_y))
 
 
 @dataclass(frozen=True)

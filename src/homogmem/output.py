@@ -1,61 +1,107 @@
-"""Snapshot and series writers: legacy VTK, CSV."""
+"""Snapshot and series writers: legacy VTK, CSV.
+
+Floats are written as their repr, which reads back bit for bit.  Each file
+is built as one string, column by column.  The text that depends only on
+the mesh (the VTK points and cells, the CSV coordinate columns) is kept for
+the last mesh written, so the snapshots of a run, which share one mesh
+object, build it once.  Meshes are immutable, so the mesh object identifies
+its text.
+"""
 from __future__ import annotations
 
 import csv
+import io
+from functools import cached_property
 
 import numpy as np
 
 from .mesh import TriMesh
 
 
-def write_vtk(mesh: TriMesh, values: np.ndarray, path, name: str = "u") -> None:
-    """Write one nodal scalar field as legacy ASCII VTK (unstructured grid)."""
+class _MeshText:
+    """Text of ``mesh`` that every snapshot on it repeats, built on first use."""
+
+    def __init__(self, mesh: TriMesh):
+        self.mesh = mesh
+
+    @cached_property
+    def vtk_geometry(self) -> str:
+        """VTK lines from POINTS through the POINT_DATA header."""
+        mesh = self.mesh
+        nv, nt = mesh.n_vertices, mesh.n_triangles
+        points = "".join([f"{x!r} {y!r} 0.0\n"
+                          for x, y in np.asarray(mesh.vertices, dtype=float).tolist()])
+        cells = "".join([f"3 {a} {b} {c}\n" for a, b, c in mesh.triangles.tolist()])
+        types = "\n".join(["5"] * nt) + "\n"
+        return (f"POINTS {nv} double\n{points}CELLS {nt} {4 * nt}\n{cells}"
+                f"CELL_TYPES {nt}\n{types}POINT_DATA {nv}\n")
+
+    @cached_property
+    def csv_prefixes(self) -> list[str]:
+        """``"x1,x2,"`` of every vertex, in vertex order."""
+        return [f"{x!r},{y!r},"
+                for x, y in np.asarray(self.mesh.vertices, dtype=float).tolist()]
+
+
+_last_mesh_text: _MeshText | None = None
+
+
+def _mesh_text(mesh: TriMesh) -> _MeshText:
+    global _last_mesh_text
+    if _last_mesh_text is None or _last_mesh_text.mesh is not mesh:
+        _last_mesh_text = _MeshText(mesh)
+    return _last_mesh_text
+
+
+def _nodal_values(mesh: TriMesh, values) -> list[float]:
     values = np.asarray(values, dtype=float)
     if values.shape != (mesh.n_vertices,):
         raise ValueError("field length does not match the mesh")
+    return values.tolist()
+
+
+def write_vtk(mesh: TriMesh, values: np.ndarray, path, name: str = "u") -> None:
+    """Write one nodal scalar field as legacy ASCII VTK (unstructured grid)."""
+    values = _nodal_values(mesh, values)
+    data = "".join([f"{v!r}\n" for v in values])
     with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 2.0\n")
-        fh.write(f"{name}\nASCII\nDATASET UNSTRUCTURED_GRID\n")
-        fh.write(f"POINTS {mesh.n_vertices} double\n")
-        for x, y in mesh.vertices:
-            fh.write(f"{float(x)!r} {float(y)!r} 0.0\n")
-        nt = mesh.n_triangles
-        fh.write(f"CELLS {nt} {4 * nt}\n")
-        for a, b, c in mesh.triangles:
-            fh.write(f"3 {a} {b} {c}\n")
-        fh.write(f"CELL_TYPES {nt}\n")
-        fh.write("\n".join(["5"] * nt) + "\n")
-        fh.write(f"POINT_DATA {mesh.n_vertices}\n")
-        fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-        for v in values:
-            fh.write(f"{float(v)!r}\n")
+        fh.write(f"# vtk DataFile Version 2.0\n{name}\nASCII\n"
+                 f"DATASET UNSTRUCTURED_GRID\n{_mesh_text(mesh).vtk_geometry}"
+                 f"SCALARS {name} double 1\nLOOKUP_TABLE default\n{data}")
 
 
-def _write_csv(path, names: list[str], arrays: list[np.ndarray]) -> None:
-    """Write a header row of ``names``, then one row per index of ``arrays``:
-    floats as their repr, which reads back bit for bit, integers as ints."""
+def _write_csv(path, names: list[str], rows: str) -> None:
+    """Write a header row of ``names`` (quoted where CSV needs it), then the
+    ``\\r\\n``-terminated ``rows``."""
+    header = io.StringIO()
+    csv.writer(header).writerow(names)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for row in zip(*arrays):
-            writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating))
-                             else int(v) for v in row])
+        fh.write(header.getvalue() + rows)
 
 
 def write_snapshot_csv(mesh: TriMesh, values: np.ndarray, path,
                        name: str = "u") -> None:
     """Write (x1, x2, value) rows for one nodal field."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (mesh.n_vertices,):
-        raise ValueError("field length does not match the mesh")
-    xy = np.asarray(mesh.vertices, dtype=float)
-    _write_csv(path, ["x1", "x2", name], [xy[:, 0], xy[:, 1], values])
+    values = _nodal_values(mesh, values)
+    prefixes = _mesh_text(mesh).csv_prefixes
+    _write_csv(path, ["x1", "x2", name],
+               "".join([f"{p}{v!r}\r\n" for p, v in zip(prefixes, values)]))
+
+
+def _column_text(a: np.ndarray) -> list[str]:
+    """Floats as their repr, anything else as an integer."""
+    if a.dtype.kind == "f":
+        return list(map(repr, a.tolist()))
+    return [str(int(v)) for v in a.tolist()]
 
 
 def write_series_csv(path, columns: dict[str, np.ndarray]) -> None:
-    """Write named columns of equal length as CSV."""
+    """Write named columns of equal length as CSV: floats as their repr,
+    integers as ints."""
     arrays = [np.asarray(a) for a in columns.values()]
     length = arrays[0].shape[0]
     if any(a.shape != (length,) for a in arrays):
         raise ValueError("all columns must have equal length")
-    _write_csv(path, list(columns), arrays)
+    texts = [_column_text(a) for a in arrays]
+    _write_csv(path, list(columns),
+               "".join([",".join(row) + "\r\n" for row in zip(*texts)]))

@@ -570,6 +570,45 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: tensor")
         assert not (out2 / "summary.json").exists()
 
+    # every key the solve stage reads from its input files is required; a
+    # file without one is refused with the file and the key named
+    @pytest.mark.parametrize("name, key", [
+        ("tensor.json", "d"), ("kernel.json", "terms"), ("kernel.json", "r"),
+        ("kernel.json", "y2_measure"), ("kernel.json", "m"),
+        ("kernel.json", "m_eps"),
+    ])
+    def test_input_file_missing_key_exits_2(self, pipeline_run, tmp_path, capsys,
+                                            name, key):
+        config, out = pipeline_run
+        payload = json.loads((out / name).read_text())
+        del payload[key]
+        path = tmp_path / name
+        path.write_text(json.dumps(payload))
+        paths = {"tensor.json": out / "tensor.json",
+                 "kernel.json": out / "kernel.json", name: path}
+        out2 = tmp_path / "solve"
+        rc = cli.main([
+            "solve", "--config", str(config), "--out", str(out2),
+            "--set", f'macro.tensor_path="{paths["tensor.json"]}"',
+            "--set", f'macro.kernel_path="{paths["kernel.json"]}"',
+        ])
+        assert rc == 2
+        assert f"{path} has no key '{key}'" in capsys.readouterr().err
+        assert not (out2 / "summary.json").exists()
+
+    def test_input_file_not_an_object_exits_2(self, pipeline_run, tmp_path,
+                                              capsys):
+        config, out = pipeline_run
+        path = tmp_path / "kernel.json"
+        path.write_text("[1, 2]")
+        rc = cli.main([
+            "solve", "--config", str(config), "--out", str(tmp_path / "solve"),
+            "--set", f'macro.tensor_path="{out / "tensor.json"}"',
+            "--set", f'macro.kernel_path="{path}"',
+        ])
+        assert rc == 2
+        assert f"{path} does not hold a JSON object" in capsys.readouterr().err
+
     @pytest.mark.parametrize("tags, message", [
         ('{"1": "Foo", "2": "Y2"}', "'Foo' is not one of Omega, Y1, Y2"),
         ('{"x": "Y1"}', "mesh.subdomain_tags key 'x' is not an integer"),

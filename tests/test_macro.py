@@ -1,5 +1,7 @@
 """Macro time stepping: hand recurrences, block-system equivalence, energy."""
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,6 +122,45 @@ class TestStepAlgebra:
         assert rows.shape == reference.shape
         assert np.abs(rows - reference).max() <= 1e-12
 
+    def test_non_contiguous_w_steps_like_a_contiguous_one(self):
+        # the rank-1 update copies a block it cannot update in place; the
+        # returned level must not depend on that
+        mesh = msh.build_unit_square_mesh(6)
+        problem = macro.MacroProblem(
+            mesh=mesh, tensor=np.eye(2),
+            kernel=make_kernel([30.0, 5.0, 1.0], [50.0, 200.0, 900.0], r=0.1),
+            u0=mode_u0, tau=1e-3, t_end=1e-2, sigma=0.5,
+        )
+        state = macro.init_state(problem)
+        for _ in range(3):
+            state = macro.step(state, problem)
+        wide = np.zeros((state.w.shape[0], 2 * state.w.shape[1]))
+        wide[:, ::2] = state.w
+        strided = dataclasses.replace(state, w=wide[:, ::2])
+        assert not strided.w.flags.c_contiguous and not strided.w.flags.f_contiguous
+        contiguous = dataclasses.replace(state, w=state.w.copy())
+        a = macro.step(contiguous, problem)
+        b = macro.step(strided, problem)
+        for got, want in ((b.y, a.y), (b.w, a.w), (b.q, a.q)):
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+    def test_step_allocates_no_copy_of_the_auxiliary_block(self):
+        mesh = msh.build_unit_square_mesh(40)
+        problem = macro.MacroProblem(
+            mesh=mesh, tensor=np.eye(2),
+            kernel=make_kernel(np.linspace(1.0, 20.0, 20), np.geomspace(1.0, 1e4, 20)),
+            u0=mode_u0, tau=1e-3, t_end=1e-2,
+        )
+        state = macro.step(macro.init_state(problem), problem)
+        block_bytes = state.w.nbytes
+        tracemalloc.start()
+        try:
+            macro.step(state, problem)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < block_bytes
+
 
 class TestEnergy:
     @pytest.mark.parametrize("sigma", [1.0, 0.75, 0.5])
@@ -174,6 +215,27 @@ class TestEnergy:
                 a * (wk @ m_arr @ wk) for a, wk in zip(amps, state.w)
             )
             assert macro.energy(state) == pytest.approx(dense, rel=1e-12)
+        assert state.n == 200
+
+    @pytest.mark.parametrize("sigma", [1.0, 0.5])
+    def test_carried_mass_product_matches_dense_formula(self, sigma):
+        # M y is updated from each increment, not recomputed; after 200
+        # steps it and the L2 norm built on it stay on the dense products
+        mesh = msh.build_unit_square_mesh(8)
+        tensor = np.array([[1.2, 0.2], [0.2, 0.9]])
+        kernel = make_kernel([30.0, 5.0, 1.0], [50.0, 200.0, 900.0], r=0.1)
+        problem = macro.MacroProblem(
+            mesh=mesh, tensor=tensor, kernel=kernel, u0=cli._resolve_u0("paper"),
+            tau=1e-3, t_end=0.2, sigma=sigma,
+        )
+        _, m_arr, _ = reduced_operators(mesh, tensor)
+        state = macro.init_state(problem)
+        for _ in range(problem.n_steps):
+            state = macro.step(state, problem)
+        dense = m_arr @ state.y
+        assert np.abs(state.m_y - dense).max() <= 1e-12 * np.abs(dense).max()
+        assert macro.l2_norm(state) == pytest.approx(
+            np.sqrt(state.y @ dense), rel=1e-12)
         assert state.n == 200
 
 
