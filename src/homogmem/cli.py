@@ -254,6 +254,10 @@ def _check_config(config: dict, stages: list[str]) -> None:
                               mac["snapshot_times"])
         if mac["n"] < 1:
             raise ValueError(f"macro.n must be >= 1, got {mac['n']}")
+        # the (n + 1)^2 x 2 float64 points of build_unit_square_mesh
+        if (mac["n"] + 1) ** 2 * 2 * np.dtype(float).itemsize > np.iinfo(np.intp).max:
+            raise ValueError(f"macro.n={mac['n']} gives more mesh vertices than "
+                             "an array can hold")
 
 
 def _check_output_dir(outdir: Path, stages: list[str], config: dict, force: bool):

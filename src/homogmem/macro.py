@@ -10,18 +10,20 @@ every step solves a single SPD system
 with alpha = sum_k a_k / (1 + sigma*lambda_k*tau).  That matrix is
 factorised once per run.  One step costs:
 
-- the right-hand side: one product with M, one with K when sigma < 1, and
-  one (K x N) block-vector product for the memory term;
+- the right-hand side: one product with M and one (K x N) block-vector
+  product for the memory term (at sigma < 1 it also reads the carried K y);
 - the factorised solve, a triangular solve pair, and its residual check,
   one product with the step matrix;
 - the increment: one product M dy, K + 1 dot products with it, and the
   auxiliary fields advanced in place by a row scaling and one BLAS rank-1
-  update of the (K x N) block.
+  update of the (K x N) block;
+- the new level's K y, one product with K.
 
 The discrete energy y'Ky + sum_k a_k w_k' M w_k is non-increasing for
-sigma >= 1/2.  The quadratics q_k = w_k' M w_k and the vector M y are
-carried on the state and updated from the increment, so the energy costs
-one product with K per level and the L2 norm one dot product.
+sigma >= 1/2.  The quadratics q_k = w_k' M w_k and the vectors M y and
+K y are carried on the state, so the energy and the L2 norm cost one dot
+product each, and K y, which the energy and the next sigma < 1 right-hand
+side both read, is computed once per level.
 """
 from __future__ import annotations
 
@@ -120,12 +122,14 @@ class _StepOperator:
 @dataclass
 class MacroState:
     """Time level n: solution dofs y, auxiliary fields w_k (rows of w),
-    their mass quadratics q_k = w_k' M w_k and the product m_y = M y."""
+    their mass quadratics q_k = w_k' M w_k and the products m_y = M y and
+    k_y = K y."""
 
     y: np.ndarray
     w: np.ndarray
     q: np.ndarray
     m_y: np.ndarray
+    k_y: np.ndarray
     n: int
     ops: _StepOperator = field(repr=False)
 
@@ -158,8 +162,8 @@ def init_state(problem: MacroProblem) -> MacroState:
     y0 = _project_initial(problem, ops)
     n_terms = problem.kernel.amplitudes.size
     w0 = np.zeros((n_terms, ops.dofmap.n_dofs))
-    return MacroState(y=y0, w=w0, q=np.zeros(n_terms), m_y=ops.mass @ y0, n=0,
-                      ops=ops)
+    return MacroState(y=y0, w=w0, q=np.zeros(n_terms), m_y=ops.mass @ y0,
+                      k_y=ops.stiffness @ y0, n=0, ops=ops)
 
 
 def step(state: MacroState, problem: MacroProblem) -> MacroState:
@@ -173,7 +177,7 @@ def step(state: MacroState, problem: MacroProblem) -> MacroState:
     sig, tau = problem.sigma, problem.tau
     rhs = ops.mass @ (ops.mass_weight * state.y - tau * (ops.gains @ state.w))
     if sig < 1.0:
-        rhs -= (1.0 - sig) * tau * (ops.stiffness @ state.y)
+        rhs -= (1.0 - sig) * tau * state.k_y
     y_next = ops.solve_step(rhs)
     # w_k <- d_k w_k + g_k dy, so q_k <- d_k^2 q_k + 2 d_k g_k w_k'M dy
     # + g_k^2 dy'M dy
@@ -188,13 +192,12 @@ def step(state: MacroState, problem: MacroProblem) -> MacroState:
         # non-contiguous one, so the result is whatever it returns
         w = dger(1.0, dy, g, a=w.T, overwrite_a=True).T
     return MacroState(y=y_next, w=w, q=q_next, m_y=state.m_y + m_dy,
-                      n=state.n + 1, ops=ops)
+                      k_y=ops.stiffness @ y_next, n=state.n + 1, ops=ops)
 
 
 def energy(state: MacroState) -> float:
     """Discrete energy y'Ky + sum_k a_k w_k' M w_k at the current level."""
-    ops = state.ops
-    return float(state.y @ (ops.stiffness @ state.y) + ops.amplitudes @ state.q)
+    return float(state.y @ state.k_y + state.ops.amplitudes @ state.q)
 
 
 def l2_norm(state: MacroState) -> float:

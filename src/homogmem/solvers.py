@@ -1,13 +1,16 @@
 """Sparse direct solves and partial generalized eigensolves.
 
 Every linear system in the package has a fixed SPD matrix: the macro step
-matrix, the mass projection and the pinned corrector system.  Each is factorised once with SuperLU in symmetric mode
-(``factorize``) and every solve checks its true residual, so a singular
+matrix, the mass projection and the pinned corrector system.  Each is
+factorised once with SuperLU in symmetric mode (``factorize``): the factor
+is of a', the zero-copy CSC view of a's CSR arrays, and each solve is
+SuperLU's transposed solve, which is exact for any square a and faster
+than the plain one.  Every solve checks its true residual, so a singular
 matrix, a non-finite right-hand side or an unmet tolerance raises
 ConvergenceError.  Smallest eigenpairs of K phi = lambda M phi come from
-shift-invert ARPACK at shift 0 (dense LAPACK for small systems or large
-counts), with deterministic start vectors and a sign convention of
-nonnegative mean.
+shift-invert ARPACK at shift 0 with the same factor of K as its inverse
+operator (dense LAPACK for small systems or large counts), with
+deterministic start vectors and a sign convention of nonnegative mean.
 """
 from __future__ import annotations
 
@@ -45,25 +48,39 @@ class EigenPairs:
         return self.values.shape[0]
 
 
+def _factor_transpose(a: sp.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
+    """Factor a' with SuperLU and return the unchecked solve of a x = b.
+
+    ``a.T`` is the CSC view of ``a``'s CSR arrays, so nothing is copied;
+    minimum degree on A'+A orders a' as it orders a, and symmetric mode
+    pivots on the diagonal (off it only where it must).  The transposed
+    solve of the factor of a' solves a x = b for any square ``a``.  A
+    singular factorisation raises ConvergenceError.
+    """
+    try:
+        lu = spla.splu(a.T, permc_spec="MMD_AT_PLUS_A",
+                       options=dict(SymmetricMode=True))
+    except RuntimeError as err:  # SuperLU reports an exactly zero pivot
+        raise ConvergenceError(f"matrix is singular: {err}") from err
+    return lambda b: lu.solve(b, trans="T")
+
+
 def factorize(a: sp.spmatrix, tol: float = 1e-10) -> Callable[[np.ndarray], np.ndarray]:
     """Factorise ``a`` once with SuperLU and return ``solve(b) -> x``.
 
-    Every caller's matrix is SPD: the ordering is minimum degree on A'+A,
-    and symmetric mode pivots on the diagonal (off it only where it must).
-    Each solve checks the true relative residual ||b - a x|| / ||b|| with
-    one matrix-vector product and raises ConvergenceError when it is above
-    ``tol`` or not finite; a zero right-hand side returns zeros.  A singular
-    factorisation raises ConvergenceError as well.
+    Every caller's matrix is SPD.  The factor is of a' and each solve is
+    SuperLU's transposed solve (``_factor_transpose``), the path the
+    shift-invert eigensolve shares.  Each solve checks the true relative
+    residual ||b - a x|| / ||b|| with one matrix-vector product and raises
+    ConvergenceError when it is above ``tol`` or not finite; a zero
+    right-hand side returns zeros.  A singular factorisation raises
+    ConvergenceError as well.
     """
     n = a.shape[0]
     if a.ndim != 2 or a.shape[1] != n:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     a = sp.csr_matrix(a)
-    try:
-        lu = spla.splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                       options=dict(SymmetricMode=True))
-    except RuntimeError as err:  # SuperLU reports an exactly zero pivot
-        raise ConvergenceError(f"matrix is singular: {err}") from err
+    solve_raw = _factor_transpose(a)
 
     def solve(b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
@@ -74,7 +91,7 @@ def factorize(a: sp.spmatrix, tol: float = 1e-10) -> Callable[[np.ndarray], np.n
             return np.zeros(n)
         if not np.isfinite(bnorm):
             raise ConvergenceError("right-hand side is not finite")
-        x = lu.solve(b)
+        x = solve_raw(b)
         rel = float(np.linalg.norm(b - a @ x) / bnorm)
         if not rel <= tol:  # also catches NaN
             raise ConvergenceError(
@@ -127,9 +144,13 @@ def smallest_eigenpairs(k: sp.spmatrix, m: sp.spmatrix, count: int,
     else:
         rng = np.random.default_rng(_SEED)
         v0 = rng.standard_normal(n)
+        k_inv = spla.LinearOperator(
+            (n, n), matvec=_factor_transpose(sp.csr_matrix(k)), dtype=float
+        )
         try:
             values, vectors = spla.eigsh(
-                k, k=count, M=m, sigma=0.0, which="LM", v0=v0, tol=tol * 1e-2
+                k, k=count, M=m, sigma=0.0, which="LM", v0=v0, tol=tol * 1e-2,
+                OPinv=k_inv,
             )
         except spla.ArpackNoConvergence as err:
             raise ConvergenceError(f"eigensolver did not converge: {err}") from err

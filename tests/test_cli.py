@@ -459,6 +459,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("override, message", [
         ("macro.sigma=2.0", "macro.sigma must lie in"),
         ("macro.n=0", "macro.n must be >= 1"),
+        pytest.param(f"macro.n={10**30}", "macro.n=1000000000000000000000000000000 "
+                     "gives more mesh vertices", id="macro.n=10**30"),
         ("macro.snapshot_times=[5.0]", "macro.snapshot_times entry 5.0"),
         ("macro.snapshot_times=[1e308]", "macro.snapshot_times entry 1e+308"),
         ("macro.t_end=-0.02", "macro.t_end must be finite and >= 0"),

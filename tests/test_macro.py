@@ -238,6 +238,37 @@ class TestEnergy:
             np.sqrt(state.y @ dense), rel=1e-12)
         assert state.n == 200
 
+    @pytest.mark.parametrize("sigma", [1.0, 0.5])
+    def test_stiffness_product_once_per_level(self, monkeypatch, sigma):
+        # K y is carried on the state: the energy and the sigma < 1
+        # right-hand side both read it, so 10 levels after the initial one
+        # cost 11 products with K at either sigma
+        products = []
+
+        class CountingMatrix:
+            def __init__(self, a):
+                self.a = a
+
+            def __matmul__(self, x):
+                products.append(x)
+                return self.a @ x
+
+        init = macro._StepOperator.__init__
+
+        def counting_init(self, problem):
+            init(self, problem)
+            self.stiffness = CountingMatrix(self.stiffness)
+
+        monkeypatch.setattr(macro._StepOperator, "__init__", counting_init)
+        problem = macro.MacroProblem(
+            mesh=msh.build_unit_square_mesh(6), tensor=np.eye(2),
+            kernel=make_kernel([30.0, 5.0], [50.0, 200.0], r=0.1),
+            u0=cli._resolve_u0("paper"), tau=1e-3, t_end=0.01, sigma=sigma,
+        )
+        result = macro.run(problem)
+        assert result.energies.size == 11
+        assert len(products) == 11
+
 
 class TestInitialCondition:
     def test_projection_reproduces_grid_functions(self):

@@ -96,6 +96,13 @@ class TestSolveSpd:
         assert np.linalg.norm(b - a @ x) <= 1e-12 * np.linalg.norm(b)
         np.testing.assert_allclose(x, np.linalg.solve(dense, b), atol=1e-12)
 
+    def test_same_solution_from_csr_csc_and_coo(self):
+        k, _ = laplacian_system(10)
+        b = np.random.default_rng(5).standard_normal(k.shape[0])
+        x_csr = solvers.factorize(k.tocsr(), tol=1e-12)(b)
+        for other in (k.tocsc(), k.tocoo()):
+            np.testing.assert_array_equal(solvers.factorize(other, tol=1e-12)(b), x_csr)
+
     @given(st.integers(5, 40), st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_random_spd_systems(self, n, seed):
@@ -126,6 +133,25 @@ class TestSmallestEigenpairs:
         monkeypatch.setattr(solvers.scipy.linalg, "eigh", None)
         pairs = solvers.smallest_eigenpairs(k, m, 6)
         np.testing.assert_allclose(pairs.values, dense.values[:6], rtol=1e-10)
+
+    def test_shift_invert_uses_the_package_factor(self, monkeypatch):
+        # eigsh gets K's transposed SuperLU factor as OPinv instead of
+        # building its own
+        k, m = laplacian_system(20)  # 361 dofs, 6 pairs -> shift-invert branch
+        calls = []
+        eigsh = solvers.spla.eigsh
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(solvers.spla, "eigsh", spy)
+        solvers.smallest_eigenpairs(k, m, 6)
+        assert len(calls) == 1
+        op = calls[0]["OPinv"]
+        b = np.random.default_rng(2).standard_normal(k.shape[0])
+        x = op.matvec(b)
+        assert np.linalg.norm(k @ x - b) <= 1e-12 * np.linalg.norm(b)
 
     def test_square_membrane_modes_sparse_path(self):
         k, m = laplacian_system(40)  # 1521 dofs -> shift-invert branch
