@@ -229,6 +229,22 @@ def _would_write(stage: str, config: dict) -> list[str]:
     return files
 
 
+# Every mesh's matrices are factored by SuperLU, which indexes the nonzeros
+# of its L and U factors with C ints.  On the P1 matrices of the unit-square
+# grid its factor holds 43, 58, 79 and 105 nonzeros per vertex at 2.6e3,
+# 1.0e4, 4.0e4 and 1.6e5 vertices, about 10 more per doubling, which reaches
+# 2**31 nonzeros near 1.2e7 vertices; so a mesh estimated above this bound
+# cannot be solved (nor held in memory: 12 bytes per factor nonzero), and
+# the run exits before any stage writes
+_MAX_VERTICES = 10**7
+
+
+def _cell_mesh_vertices(config: dict) -> int:
+    """Vertices of the builtin cell mesh, from the mesher's closed form."""
+    n = max(2, round(1.0 / config["mesh"]["h"]))
+    return (n + 1) ** 2 + config["mesh"]["n_arc"]
+
+
 def _kernel_mesh_vertices(config: dict) -> int | None:
     """Vertices of the mesh the kernel stage builds, from the meshers' own
     closed forms: at least the dof count of its eigenproblem.  None for a
@@ -238,8 +254,7 @@ def _kernel_mesh_vertices(config: dict) -> int | None:
         nr = max(2, math.ceil(config["cell"]["a"] / kmesh["h"]))
         return 4 * msh._quarter_vertex_count(nr, kmesh["n_arc"] // 4)
     if config["mesh"]["mode"] == "builtin":
-        n = max(2, round(1.0 / config["mesh"]["h"]))
-        return (n + 1) ** 2 + config["mesh"]["n_arc"]
+        return _cell_mesh_vertices(config)
     return None
 
 
@@ -252,11 +267,15 @@ def _check_config(config: dict, stages: list[str]) -> None:
     if "tensor" in stages or "kernel" in stages:
         msh.CellGeometry(**config["cell"])
     kc = config["kernel"]
+    # (setting, its value, vertex estimate) of every mesh the stages build
+    meshes = []
     if config["mesh"]["mode"] == "builtin" and (
             "tensor" in stages or "kernel" in stages and kc["mesh"]["mode"] == "cell"):
         msh.check_cell_mesh_args(config["mesh"]["h"], config["mesh"]["n_arc"])
+        meshes.append(("mesh.h", config["mesh"]["h"], _cell_mesh_vertices(config)))
     if "kernel" in stages and kc["mesh"]["mode"] == "inclusion":
         msh.check_inclusion_mesh_args(kc["mesh"]["h"], kc["mesh"]["n_arc"])
+        meshes.append(("kernel.mesh.h", kc["mesh"]["h"], _kernel_mesh_vertices(config)))
     if "kernel" in stages:
         if kc["m"] < 0:
             raise ValueError(f"kernel.m must be >= 0, got {kc['m']}")
@@ -273,10 +292,11 @@ def _check_config(config: dict, stages: list[str]) -> None:
                               mac["snapshot_times"])
         if mac["n"] < 1:
             raise ValueError(f"macro.n must be >= 1, got {mac['n']}")
-        # the (n + 1)^2 x 2 float64 points of build_unit_square_mesh
-        if (mac["n"] + 1) ** 2 * 2 * np.dtype(float).itemsize > np.iinfo(np.intp).max:
-            raise ValueError(f"macro.n={mac['n']} gives more mesh vertices than "
-                             "an array can hold")
+        meshes.append(("macro.n", mac["n"], (mac["n"] + 1) ** 2))
+    for key, value, vertices in meshes:
+        if vertices > _MAX_VERTICES:
+            raise ValueError(f"{key}={value} gives more mesh vertices ({vertices}) "
+                             f"than a sparse factor can index ({_MAX_VERTICES})")
 
 
 def _check_output_dir(outdir: Path, stages: list[str], config: dict, force: bool):

@@ -198,7 +198,12 @@ def _labelled_boundary(triangles: np.ndarray,
     """Boundary edges and tags that the triangles and their labels define:
     the open edges tagged OUTER, then the edges shared by a Y1 and a Y2
     triangle tagged INCLUSION, each in ascending edge-key order."""
-    uniq, inverse, counts = _edge_incidence(triangles)
+    return _tag_edges(*_edge_incidence(triangles), subdomain)
+
+
+def _tag_edges(uniq: np.ndarray, inverse: np.ndarray, counts: np.ndarray,
+               subdomain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_labelled_boundary`` from the triangles' ``_edge_incidence``."""
     label_sum = np.bincount(inverse, weights=np.tile(subdomain, 3),
                             minlength=counts.size)
     outer = counts == 1
@@ -214,6 +219,19 @@ def _fix_orientation(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     return out
 
 
+def _grid_halves(squares: np.ndarray, n: int, renum: np.ndarray) -> np.ndarray:
+    """The two triangles of each listed square (row by row) of an n x n
+    grid, split along the bottom-left to top-right diagonal: all lower
+    halves, then all upper halves; ``renum`` maps the grid points (row by
+    row) to vertex indices."""
+    v00 = squares + squares // n  # the square's bottom-left grid point
+    v10 = v00 + 1
+    v01 = v00 + (n + 1)
+    v11 = v01 + 1
+    quads = renum[np.column_stack([v00, v10, v11, v01])]
+    return np.vstack([quads[:, [0, 1, 2]], quads[:, [0, 2, 3]]])
+
+
 def build_unit_square_mesh(n: int, label: int = OMEGA) -> TriMesh:
     """Structured mesh of the unit square with 2*n^2 right triangles.
 
@@ -226,16 +244,7 @@ def build_unit_square_mesh(n: int, label: int = OMEGA) -> TriMesh:
     coords = np.linspace(0.0, 1.0, n + 1)
     xg, yg = np.meshgrid(coords, coords, indexing="xy")
     vertices = np.column_stack([xg.ravel(), yg.ravel()])
-
-    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="xy")
-    v00 = (j * (n + 1) + i).ravel()
-    v10 = v00 + 1
-    v01 = v00 + (n + 1)
-    v11 = v01 + 1
-    lower = np.column_stack([v00, v10, v11])
-    upper = np.column_stack([v00, v11, v01])
-    triangles = np.vstack([lower, upper])
-
+    triangles = _grid_halves(np.arange(n * n), n, np.arange((n + 1) ** 2))
     subdomain = np.full(triangles.shape[0], label, dtype=int)
     boundary_edges, boundary_tags = _labelled_boundary(triangles, subdomain)
     return TriMesh(
@@ -247,26 +256,29 @@ def build_unit_square_mesh(n: int, label: int = OMEGA) -> TriMesh:
     )
 
 
-def _point_segment_distance(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    """Distance from each point to the closed polygonal line through poly."""
-    a = poly
-    b = np.roll(poly, -1, axis=0)
-    d = b - a
-    len2 = (d * d).sum(axis=1)
-    rel = points[:, None, :] - a[None, :, :]
-    t = np.clip((rel * d[None]).sum(axis=2) / len2[None], 0.0, 1.0)
-    proj = a[None] + t[:, :, None] * d[None]
-    gap = points[:, None, :] - proj
-    return np.sqrt((gap * gap).sum(axis=2)).min(axis=1)
+# point-edge pairs per block of the inside test
+_PAIR_BLOCK = 1 << 16
+
+
+def _segment_gaps(points: np.ndarray, a: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Distance from each point to the segment from ``a`` to ``a + d``, row
+    for row; the three arrays broadcast against each other."""
+    t = np.clip(((points - a) * d).sum(axis=-1) / (d * d).sum(axis=-1), 0.0, 1.0)
+    gap = points - (a + t[..., None] * d)
+    return np.sqrt((gap * gap).sum(axis=-1))
 
 
 def _inside_convex_polygon(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    """Strict inside test for a counterclockwise convex polygon."""
-    a = poly
+    """Strict inside test for a counterclockwise convex polygon, a block of
+    rows at a time, so that memory does not grow with the polygon."""
     d = np.roll(poly, -1, axis=0) - poly
-    rel = points[:, None, :] - a[None, :, :]
-    cross = d[None, :, 0] * rel[:, :, 1] - d[None, :, 1] * rel[:, :, 0]
-    return (cross > 0.0).all(axis=1)
+    rows = max(1, _PAIR_BLOCK // poly.shape[0])
+    inside = np.empty(points.shape[0], dtype=bool)
+    for start in range(0, points.shape[0], rows):
+        rel = points[start:start + rows, None, :] - poly[None, :, :]
+        cross = d[None, :, 0] * rel[:, :, 1] - d[None, :, 1] * rel[:, :, 0]
+        inside[start:start + rows] = (cross > 0.0).all(axis=1)
+    return inside
 
 
 def _longest_edge(poly: np.ndarray) -> float:
@@ -276,21 +288,33 @@ def _longest_edge(poly: np.ndarray) -> float:
 def _polygon_sides(points: np.ndarray, geom: CellGeometry, poly: np.ndarray,
                    clear: float) -> tuple[np.ndarray, np.ndarray]:
     """Per point, whether it lies at least ``clear`` from the inscribed
-    polygon ``poly`` of ``geom`` (``_point_segment_distance >= clear``) and
-    whether it lies inside it (``_inside_convex_polygon``), row for row.
+    polygon ``poly`` of ``geom`` and whether it lies strictly inside it, row
+    for row, exactly as if every point were tested against every edge.
 
     The polygon is never nearer than the nearest vertex minus half the
     longest edge, and a point farther than two edge lengths from every
     vertex cannot lie between the polygon and the ellipse.  So one k-d tree
     query on the vertices settles every point outside a band around the
-    polygon, where the ellipse equation decides the side; only the band
-    gets exact segment distances and the exact inside test.
+    polygon, where the ellipse equation decides the side.  A band point
+    nearer than ``clear`` to an edge lies within ``clear`` plus half the
+    longest edge of one of the edge's ends, so one ball query finds every
+    edge that can be that near; the band gets exact distances to those edges
+    only, and the exact inside test a block at a time.
     """
     max_edge = _longest_edge(poly)
     reach = max(clear + max_edge, 2.0 * max_edge)
-    band = np.isfinite(cKDTree(poly).query(points, distance_upper_bound=reach)[0])
+    tree = cKDTree(poly)
+    band = np.flatnonzero(np.isfinite(
+        tree.query(points, distance_upper_bound=reach)[0]))
+    near = cKDTree(points[band]).sparse_distance_matrix(
+        tree, clear + 0.5 * max_edge, output_type="ndarray")
+    # the edges at each vertex found: edge k runs from vertex k to k + 1
+    row = np.concatenate([near["i"], near["i"]])
+    edge = np.concatenate([near["j"], near["j"] - 1]) % poly.shape[0]
+    d = np.roll(poly, -1, axis=0) - poly
+    close = _segment_gaps(points[band[row]], poly[edge], d[edge]) < clear
     is_clear = np.ones(points.shape[0], dtype=bool)
-    is_clear[band] = _point_segment_distance(points[band], poly) >= clear
+    is_clear[band[row[close]]] = False
     local = (points - np.asarray(geom.center)) @ geom.local_frame()
     inside = (local[:, 0] / geom.b) ** 2 + (local[:, 1] / geom.a) ** 2 < 1.0
     inside[band] = _inside_convex_polygon(points[band], poly)
@@ -308,11 +332,22 @@ def build_cell_mesh(geom: CellGeometry, h: float, n_arc: int = 128) -> TriMesh:
     Triangles are labeled Y2 inside the polygon and Y1 outside; polygon edges
     are tagged INCLUSION, the square frame OUTER.
 
+    A grid square is untouched when its four corners are kept and no polygon
+    vertex lies within its circumradius (widened slightly) of its centre;
+    untouched squares are split along the bottom-left to top-right diagonal
+    directly.  The other squares, widened by one ring of squares, are the
+    band: a Delaunay triangulation of their kept corners and the polygon
+    vertices, of which the simplices of positive area whose centroid lies
+    in a band square are kept.  The two parts are not assumed to conform:
+    the mesh is checked to tile the unit square (triangle areas sum to 1, no
+    edge is shared by more than two triangles, every open edge lies on the
+    frame) with the polygon as its material interface.
+
     Polygon queries are local, so memory grows with the grid and not with
     grid times ``n_arc``: a k-d tree on the polygon vertices picks the thin
-    band of grid points that need exact point-segment distances and the
-    exact inside test; the other grid points are sided by the ellipse
-    equation.  Edges are compared as one integer key each.
+    band of grid points that need exact point-segment distances, to nearby
+    edges only, and the exact inside test; the other grid points are sided
+    by the ellipse equation.  Edges are compared as one integer key each.
     """
     check_cell_mesh_args(h, n_arc)
     poly = geom.boundary_polygon(n_arc)
@@ -332,14 +367,49 @@ def build_cell_mesh(geom: CellGeometry, h: float, n_arc: int = 128) -> TriMesh:
     grid[:, 0] = np.tile(coords, n + 1)
     grid[:, 1] = np.repeat(coords, n + 1)
     is_clear, inside = _polygon_sides(grid, geom, poly, clear)
-    grid = grid[is_clear]
+    points = np.vstack([grid[is_clear], poly])
+    n_grid = points.shape[0] - n_arc
 
-    points = np.vstack([grid, poly])
-    tri = Delaunay(points)
-    triangles = _fix_orientation(points, np.asarray(tri.simplices, dtype=np.int64))
+    # squares row by row; a touched square has a removed corner or a polygon
+    # vertex on or near its circumcircle.  With one more ring as a margin,
+    # the band's border squares keep all four corners and hold no polygon
+    # vertex in their circumcircles, so their sides, where the directly
+    # split squares meet the band, are edges of the band's triangulation
+    kept = is_clear.reshape(n + 1, n + 1)
+    touched = ~(kept[:-1, :-1] & kept[:-1, 1:] & kept[1:, :-1] & kept[1:, 1:])
+    mid = 0.5 * (coords[:-1] + coords[1:])
+    centres = np.column_stack([np.tile(mid, n), np.repeat(mid, n)])
+    radius = (1.0 + 1e-6) * math.sqrt(0.5) / n
+    near = np.isfinite(cKDTree(poly).query(centres, distance_upper_bound=radius)[0])
+    touched |= near.reshape(n, n)
+    padded = np.pad(touched, 1)
+    band = np.zeros_like(touched)
+    for dy in range(3):
+        for dx in range(3):
+            band |= padded[dy:dy + n, dx:dx + n]
+
+    renum = np.cumsum(is_clear) - 1
+    whole = _grid_halves(np.flatnonzero(~band.ravel()), n, renum)
+    padded = np.pad(band, 1)
+    on_band = padded[:-1, :-1] | padded[:-1, 1:] | padded[1:, :-1] | padded[1:, 1:]
+    delaunay = np.concatenate([renum[np.flatnonzero(on_band.ravel() & is_clear)],
+                               n_grid + np.arange(n_arc)])
+    simplices = delaunay[np.asarray(Delaunay(points[delaunay]).simplices,
+                                    dtype=np.int64)]
+    corners = points[simplices]
+    # Qhull also returns flat simplices on collinear grid points, whose area
+    # is round-off: far below that of any real triangle of the same span
+    span = ((corners - np.roll(corners, 1, axis=1)) ** 2).sum(axis=2).max(axis=1)
+    square = np.clip((corners.mean(axis=1) * n).astype(np.int64), 0, n - 1)
+    keep = ((np.abs(_signed_areas(corners)) > 1e-10 * span)
+            & band[square[:, 1], square[:, 0]])
+    triangles = np.vstack([whole, _fix_orientation(points, simplices[keep])])
+
     areas = _signed_areas(points[triangles])
     if areas.min() <= 1e-14:
         raise GeometryError("triangulation produced a degenerate triangle")
+    if abs(float(areas.sum()) - 1.0) > 1e-12:
+        raise GeometryError("cell triangles do not tile the unit square")
 
     # the polygon is convex and every kept grid point lies off it, so once
     # every polygon edge is a mesh edge, a triangle lies inside the polygon
@@ -347,11 +417,15 @@ def build_cell_mesh(geom: CellGeometry, h: float, n_arc: int = 128) -> TriMesh:
     # point; the interface check below establishes that premise
     in_y2 = np.concatenate([inside[is_clear], np.ones(n_arc, dtype=bool)])
     subdomain = np.where(in_y2[triangles].all(axis=1), Y2, Y1)
-    boundary_edges, boundary_tags = _labelled_boundary(triangles, subdomain)
+    incidence = _edge_incidence(triangles)
+    if incidence[2].max() > 2:
+        raise GeometryError("cell triangles overlap: an edge is shared by "
+                            "more than two triangles")
+    boundary_edges, boundary_tags = _tag_edges(*incidence, subdomain)
 
     # equal interface keys also mean that every polygon edge is a mesh edge
     nv = points.shape[0]
-    ring = grid.shape[0] + np.arange(n_arc)
+    ring = n_grid + np.arange(n_arc)
     wanted = np.sort(_edge_keys(np.column_stack([ring, np.roll(ring, -1)]), nv))
     interface = _edge_keys(boundary_edges[boundary_tags == INCLUSION], nv)
     if not np.array_equal(interface, wanted):
@@ -359,13 +433,10 @@ def build_cell_mesh(geom: CellGeometry, h: float, n_arc: int = 128) -> TriMesh:
             "material interface does not match the inclusion polygon; "
             "decrease n_arc or refine h"
         )
-    on_frame = (
-        np.isclose(points[:, 0], 0.0)
-        | np.isclose(points[:, 0], 1.0)
-        | np.isclose(points[:, 1], 0.0)
-        | np.isclose(points[:, 1], 1.0)
-    )
-    if not on_frame[boundary_edges[boundary_tags == OUTER]].all():
+    # per vertex, whether it lies on each of the four sides of the frame
+    sides = np.isclose(points[:, :, None], [0.0, 1.0]).reshape(nv, 4)
+    ends = boundary_edges[boundary_tags == OUTER]
+    if not (sides[ends[:, 0]] & sides[ends[:, 1]]).any(axis=1).all():
         raise GeometryError("open boundary edge off the unit square frame")
 
     return TriMesh(

@@ -1,5 +1,6 @@
 """Cell correctors and effective tensor: structural oracles and invariants."""
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -163,6 +164,28 @@ class TestEffectiveTensor:
         assert abs(d[0, 0] / target - 1.0) <= 0.01
         assert abs(d[1, 1] / target - 1.0) <= 0.01
         assert abs(d[0, 1]) <= 1e-8
+
+    def test_circular_hole_matches_rayleigh(self):
+        # Rayleigh's formula for a square array of insulating cylinders, with
+        # the coefficients of Perrins, McKenzie & McPhedran (1979), gives the
+        # |Y|-normalised conductivity D |Y1|.  Its errors were measured at
+        # +2.1538e-3, +5.5655e-4 and +1.4682e-4 (observed orders 1.95 and
+        # 1.92); every polygon vertex here is cocircular with the others
+        radius = 0.2
+        phi = math.pi * radius**2
+        exact = 1.0 - 2.0 * phi / (1.0 + phi - 0.305827 * phi**4 - 0.013362 * phi**8)
+        geom = msh.CellGeometry(a=radius, b=radius)
+        errors = []
+        for h, n_arc, measured in ((1.0 / 24, 64, 2.154e-3), (1.0 / 48, 128, 5.566e-4),
+                                   (1.0 / 96, 256, 1.469e-4)):
+            result, _ = solve_tensor(geom, h, n_arc=n_arc)
+            d = result.tensor * result.y1_measure
+            assert abs(d[0, 1]) <= 1e-14
+            error = np.diag(d) - exact
+            assert (error > 0.0).all() and (error <= measured).all()
+            errors.append(error)
+        orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+        assert orders.min() >= 1.9
 
     def test_quarter_turn_swaps_axes(self, ref_geom):
         base, _ = solve_tensor(ref_geom, 1.0 / 48)

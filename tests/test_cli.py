@@ -461,6 +461,9 @@ class TestExitCodes:
         ("macro.n=0", "macro.n must be >= 1"),
         pytest.param(f"macro.n={10**30}", "macro.n=1000000000000000000000000000000 "
                      "gives more mesh vertices", id="macro.n=10**30"),
+        ("macro.n=100000000", "macro.n=100000000 gives more mesh vertices"),
+        ("kernel.mesh.h=1e-7", "kernel.mesh.h=1e-07 gives more mesh vertices"),
+        ("mesh.h=1e-5", "mesh.h=1e-05 gives more mesh vertices"),
         ("macro.snapshot_times=[5.0]", "macro.snapshot_times entry 5.0"),
         ("macro.snapshot_times=[1e308]", "macro.snapshot_times entry 1e+308"),
         ("macro.t_end=-0.02", "macro.t_end must be finite and >= 0"),
@@ -499,6 +502,12 @@ class TestExitCodes:
         assert rc == 2
         assert f"exceeds the {vertices} vertices" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("workload", ["default", "cell-fine", "macro-fine"])
+    def test_benchmark_meshes_pass_the_size_gate(self, workload):
+        config = cli._merge(cli.DEFAULT_CONFIG,
+                            load_bench_workloads().config_overrides(workload, 0))
+        cli._check_config(config, ["tensor", "kernel", "solve"])
 
     def test_value_range_gate_checks_only_the_stages_that_run(self, tmp_path):
         config = write_config(tmp_path)

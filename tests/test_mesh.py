@@ -1,14 +1,17 @@
 """Mesh construction, labeling, pairing, and serialization."""
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay
 
-from homogmem import mesh as msh
+from homogmem import fem, mesh as msh
 from homogmem.errors import GeometryError, MeshFormatError, PeriodicityError
 from meshtools import LINE_EDITS, edit_line_elements, mirror_quarter, write_msh
 
@@ -146,6 +149,22 @@ class TestCellMesh:
         right = np.sort(v[np.isclose(v[:, 0], 1.0), 1])
         np.testing.assert_allclose(left, right, atol=1e-12)
 
+    def test_memory_grows_with_the_mesh_not_the_polygon(self, ref_geom):
+        # 16 times the polygon vertices give 1.41 times the mesh vertices at
+        # h=1/96; the traced peak per mesh vertex grew 2.44 times with
+        # point-by-edge arrays for the distances and the inside test, 2.04
+        # times with the distances local only, and 1.05 times with both local
+        per_vertex = []
+        for n_arc in (256, 4096):
+            tracemalloc.start()
+            try:
+                mesh = msh.build_cell_mesh(ref_geom, 1.0 / 96, n_arc)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            per_vertex.append(peak / mesh.n_vertices)
+        assert per_vertex[1] < 1.3 * per_vertex[0]
+
     def test_too_coarse_spacing_rejected(self):
         geom = msh.CellGeometry(a=0.45, b=0.45)
         with pytest.raises(GeometryError):
@@ -162,43 +181,50 @@ class TestCellMesh:
                 build(ref_geom, h)
 
 
-def dense_cell_mesh(geom, h, n_arc):
-    """Reference cell mesher: every grid point and centroid is tested against
-    every polygon edge, and edges are compared as tuples and row-unique pairs.
-
-    This is the mesher as it was before its polygon queries became local; the
-    point-by-edge arrays are formed a block of rows at a time, which gives the
-    same values per row at bounded memory.
-    """
-    poly = geom.boundary_polygon(n_arc)
-    a = poly
+def dense_distance(points, poly):
+    """Distance from each point to the closed polygonal line through poly,
+    every point against every edge."""
     d = np.roll(poly, -1, axis=0) - poly
     len2 = (d * d).sum(axis=1)
+    rel = points[:, None, :] - poly[None, :, :]
+    t = np.clip((rel * d[None]).sum(axis=2) / len2[None], 0.0, 1.0)
+    proj = poly[None] + t[:, :, None] * d[None]
+    gap = points[:, None, :] - proj
+    return np.sqrt((gap * gap).sum(axis=2)).min(axis=1)
 
-    def distance(points):
-        rel = points[:, None, :] - a[None, :, :]
-        t = np.clip((rel * d[None]).sum(axis=2) / len2[None], 0.0, 1.0)
-        proj = a[None] + t[:, :, None] * d[None]
-        gap = points[:, None, :] - proj
-        return np.sqrt((gap * gap).sum(axis=2)).min(axis=1)
 
-    def inside(points):
-        rel = points[:, None, :] - a[None, :, :]
-        cross = d[None, :, 0] * rel[:, :, 1] - d[None, :, 1] * rel[:, :, 0]
-        return (cross > 0.0).all(axis=1)
+def dense_inside(points, poly):
+    """Strict inside test of a counterclockwise convex polygon, every point
+    against every edge."""
+    d = np.roll(poly, -1, axis=0) - poly
+    rel = points[:, None, :] - poly[None, :, :]
+    cross = d[None, :, 0] * rel[:, :, 1] - d[None, :, 1] * rel[:, :, 0]
+    return (cross > 0.0).all(axis=1)
+
+
+def dense_cell_mesh(geom, h, n_arc):
+    """Reference cell mesher: Qhull on every kept grid point and the polygon,
+    every grid point and centroid tested against every polygon edge, and
+    edges compared as tuples and row-unique pairs.
+
+    This is the mesher as it was before its polygon queries became local and
+    before it split the squares away from the polygon itself; the
+    point-by-edge arrays are formed a block of rows at a time, which gives
+    the same values per row at bounded memory.
+    """
+    poly = geom.boundary_polygon(n_arc)
 
     def by_rows(f, points, rows=4096):
         return np.concatenate(
-            [f(points[i:i + rows]) for i in range(0, len(points), rows)]
+            [f(points[i:i + rows], poly) for i in range(0, len(points), rows)]
         )
 
-    edge_len = np.linalg.norm(d, axis=1)
-    clear = max(0.35 * h, 0.55 * float(edge_len.max()))
+    clear = max(0.35 * h, 0.55 * msh._longest_edge(poly))
     n = max(2, int(round(1.0 / h)))
     coords = np.linspace(0.0, 1.0, n + 1)
     xg, yg = np.meshgrid(coords, coords, indexing="xy")
     grid = np.column_stack([xg.ravel(), yg.ravel()])
-    grid = grid[by_rows(distance, grid) >= clear]
+    grid = grid[by_rows(dense_distance, grid) >= clear]
 
     points = np.vstack([grid, poly])
     triangles = msh._fix_orientation(
@@ -210,7 +236,7 @@ def dense_cell_mesh(geom, h, n_arc):
     uniq, inverse, counts = unique_edges_reference(triangles)
     assert wanted <= {tuple(e) for e in uniq.tolist()}
 
-    subdomain = np.where(by_rows(inside, p.mean(axis=1)), msh.Y2, msh.Y1)
+    subdomain = np.where(by_rows(dense_inside, p.mean(axis=1)), msh.Y2, msh.Y1)
     outer_mask = counts == 1
     label_sum = np.zeros(uniq.shape[0])
     np.add.at(label_sum, inverse, subdomain[np.tile(np.arange(len(triangles)), 3)])
@@ -238,7 +264,54 @@ def unique_edges_reference(triangles):
     return uniq, inverse.ravel(), counts
 
 
-MESH_ARRAYS = ("vertices", "triangles", "subdomain", "boundary_edges", "boundary_tags")
+def grid_squares(mesh, n, n_arc):
+    """Per triangle, the grid square (row-major index) whose three corners it
+    has, or -1 for a triangle with a polygon vertex or a wider span; the
+    kept grid points are the vertices before the ``n_arc`` polygon ones."""
+    corner = np.rint(mesh.vertices * n).astype(np.int64)[mesh.triangles]
+    low = corner.min(axis=1)
+    in_one = ((corner.max(axis=1) - low) == 1).all(axis=1)
+    in_one &= (mesh.triangles < mesh.n_vertices - n_arc).all(axis=1)
+    return np.where(in_one, low[:, 1] * n + low[:, 0], -1)
+
+
+def delaunay_cells(mesh):
+    """The mesh as a set of (vertices, label) cells: each cell is a maximal
+    group of triangles joined across interior edges whose two opposite
+    angles sum to pi, as frozensets of vertex indices.  The corners of such
+    a group are cocircular, and a Delaunay triangulation may split them
+    along any diagonals, so two meshes with equal cells differ at most in
+    those diagonals; each whole grid square is one cell."""
+    tri = mesh.triangles
+    p = mesh.vertices[tri]
+    # per slot, edge (0, 1), (1, 2), (2, 0) of each triangle in turn, the
+    # cotangent of the angle opposite it
+    cots = []
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        u, v = p[:, i] - p[:, k], p[:, j] - p[:, k]
+        cots.append((u * v).sum(axis=1) / np.abs(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]))
+    uniq, inverse, counts = unique_edges_reference(tri)
+    weight = np.bincount(inverse, weights=np.concatenate(cots))
+    interface = {tuple(e) for e in mesh.boundary_edges.tolist()}
+    ambiguous = (counts == 2) & (np.abs(weight) < 1e-9)
+    ambiguous &= np.array([tuple(e) not in interface for e in uniq.tolist()])
+    slot = np.flatnonzero(ambiguous[inverse])
+    slot = slot[np.argsort(inverse[slot], kind="stable")]
+    owner = slot % tri.shape[0]
+    links = sp.coo_matrix((np.ones(owner.size // 2), (owner[0::2], owner[1::2])),
+                          shape=(tri.shape[0],) * 2)
+    _, cell = connected_components(links, directed=False)
+    vertices = [set() for _ in range(cell.max() + 1)]
+    for c, t in zip(cell.tolist(), tri.tolist()):
+        vertices[c].update(t)
+    label = np.zeros(len(vertices), dtype=np.int64)
+    label[cell] = mesh.subdomain
+    return {(frozenset(v), lab) for v, lab in zip(vertices, label.tolist())}
+
+
+def y1_stiffness(mesh, geom):
+    y1, _ = msh.submesh(mesh, msh.Y1)
+    return fem.assemble_stiffness(y1, geom.d1)
 
 
 class TestCellMeshMatchesDenseReference:
@@ -254,13 +327,71 @@ class TestCellMeshMatchesDenseReference:
         ],
     )
     def test_arrays_identical(self, h, n_arc, angle, center):
+        # the vertex and boundary arrays are identical; the triangles are,
+        # but for the diagonals between cocircular corners, which Qhull
+        # picks freely: in each whole grid square, which the mesher splits
+        # itself, and where a polygon vertex completes a cocircular quad
         geom = msh.CellGeometry(a=0.4, b=0.2, angle_deg=angle, center=center)
         mesh = msh.build_cell_mesh(geom, h, n_arc)
         ref = dense_cell_mesh(geom, h, n_arc)
-        for name in MESH_ARRAYS:
+        for name in ("vertices", "boundary_edges", "boundary_tags"):
             got, want = getattr(mesh, name), getattr(ref, name)
             assert got.dtype == want.dtype, name
             np.testing.assert_array_equal(got, want, err_msg=name)
+        got, want = delaunay_cells(mesh), delaunay_cells(ref)
+        assert got == want
+        # among them the whole grid squares, two triangles each, with labels
+        n = round(1.0 / h)
+        whole = []
+        for m in (mesh, ref):
+            square = grid_squares(m, n, n_arc)
+            rows = np.column_stack([square, m.subdomain])[square >= 0]
+            seen, count = np.unique(rows, axis=0, return_counts=True)
+            whole.append(seen[count == 2])
+        np.testing.assert_array_equal(*whole)
+        assert len(whole[0]) > 0.5 * n * n
+        # each diagonal has cotangent weight cot 90 deg = 0 in a square
+        got, want = y1_stiffness(mesh, geom), y1_stiffness(ref, geom)
+        assert abs(got - want).max() <= 1e-13 * abs(want).max()
+
+    @pytest.mark.parametrize("h, n_arc, angle", [
+        (0.02, 256, 30.0), (1.0 / 48, 64, 0.0), (1.0 / 96, 512, 45.0),
+    ])
+    def test_untouched_squares_use_the_fixed_diagonal(self, h, n_arc, angle):
+        # a square is touched when a corner is removed or a polygon vertex
+        # lies within (1 + 1e-6) times its circumradius of its centre; one
+        # more ring of squares is a margin, and every other square is split
+        # from its bottom-left to its top-right corner
+        geom = msh.CellGeometry(a=0.4, b=0.2, angle_deg=angle)
+        mesh = msh.build_cell_mesh(geom, h, n_arc)
+        n = round(1.0 / h)
+        poly = geom.boundary_polygon(n_arc)
+        kept = np.zeros((n + 1) ** 2, dtype=bool)
+        corner = np.rint(mesh.vertices[:-n_arc] * n).astype(np.int64)
+        kept[corner[:, 1] * (n + 1) + corner[:, 0]] = True
+        kept = kept.reshape(n + 1, n + 1)
+        touched = ~(kept[:-1, :-1] & kept[:-1, 1:] & kept[1:, :-1] & kept[1:, 1:])
+        i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="xy")
+        centres = np.column_stack([i.ravel(), j.ravel()]) + 0.5
+        gap = np.linalg.norm(centres[:, None, :] / n - poly[None], axis=2).min(axis=1)
+        touched |= (gap <= (1.0 + 1e-6) * math.sqrt(0.5) / n).reshape(n, n)
+        padded = np.pad(touched, 1)
+        margin = np.zeros_like(touched)
+        for dy in range(3):
+            for dx in range(3):
+                margin |= padded[dy:dy + n, dx:dx + n]
+        untouched = np.flatnonzero(~margin.ravel())
+        assert untouched.size > 0.5 * n * n
+
+        square = grid_squares(mesh, n, n_arc)
+        at = np.isin(square, untouched)
+        assert at.sum() == 2 * untouched.size
+        # the square's bottom-left and top-right corners are in both halves
+        lo = np.rint(mesh.vertices * n).astype(np.int64)[mesh.triangles[at]]
+        low = lo.min(axis=1, keepdims=True)
+        diagonal = ((lo == low).all(axis=2).any(axis=1)
+                    & (lo == low + 1).all(axis=2).any(axis=1))
+        assert diagonal.all()
 
     @pytest.mark.parametrize("n_arc, angle", [(8, 0.0), (16, 17.0), (256, 30.0)])
     def test_local_polygon_queries_match_dense(self, n_arc, angle):
@@ -274,10 +405,10 @@ class TestCellMeshMatchesDenseReference:
         r[:2000] = 1.0 - rng.uniform(0.0, 0.5 / n_arc**2, 2000)
         local = np.column_stack([geom.b * r * np.cos(t), geom.a * r * np.sin(t)])
         pts = local @ geom.local_frame().T + np.asarray(geom.center)
-        inside = msh._inside_convex_polygon(pts, poly)
+        inside = dense_inside(pts, poly)
         in_ellipse = r < 1.0
         assert (in_ellipse & ~inside).sum() > 100
-        dist = msh._point_segment_distance(pts, poly)
+        dist = dense_distance(pts, poly)
         for clear in (0.001, 0.01, 0.05):
             is_clear, got_inside = msh._polygon_sides(pts, geom, poly, clear)
             np.testing.assert_array_equal(is_clear, dist >= clear)
