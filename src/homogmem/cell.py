@@ -3,21 +3,28 @@
 The corrector theta_i solves the pure-diffusion problem on the matrix part
 Y1 of the cell, driven by the unit gradient e_i, with periodic conditions
 on the cell frame, a natural (zero-flux) condition on the inclusion
-boundary, and zero mean (one dof pinned, mean subtracted, compatibility
-multiplier in closed form).  The effective tensor averages the corrected
-gradients over Y1.
+boundary, and zero mean.  For the centred inclusion each corrector is odd
+under the half-turn x -> (1, 1) - x, so on a mesh whose Y1 system maps to
+itself under it the problem is solved on the odd fields alone (about half
+the dofs, no constant to fix); on any other mesh one dof is pinned.  Either
+way the compatibility multiplier is in closed form and the mean is
+subtracted.  The effective tensor averages the corrected gradients over Y1.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import fem, mesh as msh, solvers
 from .mesh import CellGeometry, TriMesh
 
 # relative residual every corrector solve must meet
 _SOLVER_TOL = 1e-10
+# relative defect up to which the Y1 stiffness counts as invariant, and the
+# corrector loads as odd, under the half-turn
+_SYMMETRY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -69,35 +76,78 @@ def _y1_submesh(cell: TriMesh) -> TriMesh:
     return sub
 
 
+def _half_turn_image(y1: TriMesh, stiffness: sp.csr_matrix,
+                     loads: list[np.ndarray]) -> np.ndarray | None:
+    """The vertex map v -> (1, 1) - v when the Y1 problem is odd under it.
+
+    ``loads`` are the periodic-reduced loads spread back onto the vertices,
+    so that a load whose periodic sum cancels to round-off (no inclusion)
+    counts as not odd.  Both point sets are sorted on coordinates rounded to
+    the pairing tolerance and matched in order, and the match is then
+    verified.  Returns None, so the caller pins a dof instead, when some
+    image is not a vertex, the stiffness is not invariant under the map or
+    a load is not odd.
+    """
+    points = y1.vertices
+    mirrored = 1.0 - points
+    quantum = msh.PAIRING_TOL
+    order, mirrored_order = (np.lexsort(np.rint(p / quantum).T[::-1])
+                             for p in (points, mirrored))
+    image = np.empty(y1.n_vertices, dtype=np.int64)
+    image[mirrored_order] = order
+    if np.abs(points[image] - mirrored).max(initial=0.0) > quantum:
+        return None
+    swapped = stiffness[image][:, image]
+    if abs(swapped - stiffness).max() > _SYMMETRY_TOL * abs(stiffness).max():
+        return None
+    for load in loads:
+        if np.abs(load + load[image]).max() > _SYMMETRY_TOL * np.abs(load).max():
+            return None
+    return image
+
+
 def solve_correctors(cell: TriMesh, geom: CellGeometry) -> CorrectorSolution:
     """Solve the periodic cell problem for both unit-gradient directions.
 
     ``cell`` is the full cell mesh (Y1/Y2 labeled, periodic pairs filled) or
-    an already-restricted Y1 mesh.  A x + c mu = b, c'x = 0 (c the basis
-    integrals) has mu = sum(b) / sum(c), as 1'A = 0; b - mu c is then in the
-    range of A, so dof 0 is held at 0, the SPD block A[1:, 1:] is factorised
-    once for both directions, and the mean (c'x) / sum(c) is subtracted.
-    Each component holds theta on the Y1 submesh, mu, and the relative
-    residual of A x + c mu = b.
+    an already-restricted Y1 mesh.  A x + c mu = b, c'x = 0 (A, b, c the
+    periodic-reduced stiffness, load and basis integrals) has
+    mu = sum(b) / sum(c), as 1'A = 0; b - mu c is then in the range of A.
+    When A is invariant and both loads are odd under the half-turn, the
+    system is restricted to the odd fields, where A is SPD; otherwise dof 0
+    is held at 0 and the SPD rest is kept.  One factor serves both
+    directions, and the mean (c'x) / sum(c) is subtracted.  Each solution is
+    checked against the unrestricted A x + c mu = b; each component holds
+    theta on the Y1 submesh, mu, and that relative residual.
     """
     y1 = _y1_submesh(cell)
-    a_red, dofmap = fem.apply_constraints(y1, fem.assemble_stiffness(y1, geom.d1))
-    c = dofmap.reduce(fem.integral_weights(y1))
-    solve = solvers.factorize(a_red[1:, 1:], _SOLVER_TOL)
+    stiffness = fem.assemble_stiffness(y1, geom.d1)
+    weights = fem.integral_weights(y1)
+    loads = [fem.assemble_corrector_rhs(y1, direction, coeff=geom.d1)
+             for direction in (1, 2)]
+    (periodic,) = fem.apply_constraints(y1)
+    image = _half_turn_image(y1, stiffness,
+                             [periodic.expand(periodic.reduce(f)) for f in loads])
+    a_red, dofmap = fem.apply_constraints(y1, stiffness, odd_image=image)
+    pin = int(image is None)  # the odd fields hold no constant to pin
+    solve = solvers.factorize(a_red[pin:, pin:], _SOLVER_TOL)
+    c = periodic.reduce(weights)
+    c_red = dofmap.reduce(weights)
     components = []
-    for direction in (1, 2):
-        b = dofmap.reduce(fem.assemble_corrector_rhs(y1, direction, coeff=geom.d1))
+    for direction, load in zip((1, 2), loads):
+        b = periodic.reduce(load)
         mu = b.sum() / c.sum()
-        x = np.concatenate([[0.0], solve((b - mu * c)[1:])])
-        x -= (c @ x) / c.sum()
-        resid = float(
-            np.linalg.norm(b - a_red @ x - mu * c) / max(np.linalg.norm(b), 1e-300)
-        )
+        x = np.zeros(dofmap.n_dofs)
+        x[pin:] = solve((dofmap.reduce(load) - mu * c_red)[pin:])
+        theta = dofmap.expand(x)
+        theta -= (weights @ theta) / weights.sum()
+        ax = periodic.reduce(stiffness @ theta) + mu * c
+        solvers.check_residual(b, ax, _SOLVER_TOL)
         components.append(CorrectorComponent(
             direction=direction,
-            theta=dofmap.expand(x),
+            theta=theta,
             multiplier=float(mu),
-            residual=resid,
+            residual=float(np.linalg.norm(b - ax) / max(np.linalg.norm(b), 1e-300)),
         ))
     return CorrectorSolution(mesh=y1, components=tuple(components))
 

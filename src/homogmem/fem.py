@@ -4,10 +4,13 @@ Stiffness, mass, and corrector right-hand sides are assembled over every
 triangle of the mesh they are given (callers pass the Y1 or Y2 submesh)
 with exact per-element integration (gradients are constant, the mass
 element is the standard area/12 matrix).  Constraint application folds
-periodic slaves onto their masters and eliminates homogeneous Dirichlet
-rows/columns; it returns a DofMap, which is the one way load vectors are
-reduced onto the constrained system.  A pure-Neumann problem keeps its
-constant nullspace here; ``cell.solve_correctors`` fixes the constant.
+periodic slaves onto their masters, eliminates homogeneous Dirichlet
+rows/columns and, given a vertex involution, restricts the system to the
+fields that are odd under it; it returns a DofMap, which is the one way load
+vectors are reduced onto the constrained system.  A pure-Neumann problem
+folded only periodically keeps its constant nullspace here, and the odd
+fold removes it (a constant is even); ``cell.solve_correctors`` picks the
+fold.
 """
 from __future__ import annotations
 
@@ -26,30 +29,33 @@ _MASS_ELEMENT = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 
 class DofMap:
     """Vertex-to-dof bookkeeping produced by apply_constraints.
 
-    ``vertex_to_dof`` maps every mesh vertex to its retained dof (slaves map
-    to the master's dof, Dirichlet vertices to -1).  ``reduce`` takes nodal
-    loads onto the system and ``expand`` takes a solution back to the
-    vertices.
+    Vertex v holds ``sign[v] * x[vertex_to_dof[v]]``.  A retained vertex and
+    a periodic slave (mapped to its master's dof) have sign 1, the odd image
+    of a retained vertex has sign -1, and an eliminated vertex has sign 0
+    and dof -1.  ``reduce`` takes nodal loads onto the system and ``expand``
+    takes a solution back to the vertices.
     """
 
     vertex_to_dof: np.ndarray
     n_dofs: int
+    sign: np.ndarray
 
     def expand(self, x: np.ndarray) -> np.ndarray:
-        """Nodal values on all mesh vertices (zeros on Dirichlet vertices)."""
+        """Nodal values on all mesh vertices (zeros on eliminated vertices)."""
         full = np.zeros(self.vertex_to_dof.shape[0])
         free = self.vertex_to_dof >= 0
-        full[free] = x[self.vertex_to_dof[free]]
+        full[free] = self.sign[free] * x[self.vertex_to_dof[free]]
         return full
 
     def reduce(self, full: np.ndarray) -> np.ndarray:
         """Load vector folded onto the system: slave entries add into their
-        masters, Dirichlet entries drop.
+        masters, odd images subtract, eliminated entries drop.
 
         This is the transpose of ``expand``, so a load reduced here matches
         matrices reduced by apply_constraints."""
         free = self.vertex_to_dof >= 0
-        return np.bincount(self.vertex_to_dof[free], weights=full[free],
+        return np.bincount(self.vertex_to_dof[free],
+                           weights=self.sign[free] * full[free],
                            minlength=self.n_dofs)
 
 
@@ -141,7 +147,8 @@ def integral_weights(mesh: TriMesh) -> np.ndarray:
     return w
 
 
-def apply_constraints(mesh: TriMesh, *matrices: sp.spmatrix, dirichlet_tags=()):
+def apply_constraints(mesh: TriMesh, *matrices: sp.spmatrix, dirichlet_tags=(),
+                      odd_image=None):
     """Reduce each of ``matrices`` by one set of Dirichlet/periodic
     constraints.
 
@@ -150,8 +157,13 @@ def apply_constraints(mesh: TriMesh, *matrices: sp.spmatrix, dirichlet_tags=()):
     column of every (slave, master) row of ``mesh.periodic_pairs`` are
     folded onto the master, so a mesh without pairs folds nothing.  A master
     that is itself a slave, or a pair that touches a Dirichlet vertex, is a
-    ValueError.  Returns the reduced matrices in order, then the DofMap whose
-    ``reduce`` folds load vectors onto the same system.
+    ValueError.  ``odd_image``, a vertex involution that maps periodic
+    classes onto classes and Dirichlet vertices onto Dirichlet vertices,
+    further restricts the system to fields u with u[odd_image] = -u: of two
+    classes it swaps, the one with the lower master keeps the dof and the
+    other folds onto it with sign -1, and a class it fixes is eliminated.
+    Returns the reduced matrices in order, then the DofMap whose ``reduce``
+    folds load vectors onto the same system.
     """
     nv = mesh.n_vertices
     if any(a.shape != (nv, nv) for a in matrices):
@@ -183,19 +195,33 @@ def apply_constraints(mesh: TriMesh, *matrices: sp.spmatrix, dirichlet_tags=()):
                          "Dirichlet vertices")
     rep = np.arange(nv, dtype=np.int64)
     rep[slaves] = masters
+    sign = np.where(is_dirichlet, 0.0, 1.0)
 
-    keep = ~is_dirichlet & (rep == np.arange(nv))
+    if odd_image is not None:
+        image = np.asarray(odd_image, dtype=np.int64)
+        if image.shape != (nv,) or not np.array_equal(image[image], np.arange(nv)):
+            raise ValueError("odd image is not an involution of the vertices")
+        partner = rep[image]  # the master of each vertex's image
+        if not np.array_equal(partner, partner[rep]):
+            raise ValueError("odd image does not map periodic classes onto classes")
+        if not np.array_equal(is_dirichlet[image], is_dirichlet):
+            raise ValueError("odd image does not map Dirichlet vertices onto "
+                             "Dirichlet vertices")
+        sign[partner == rep] = 0.0
+        sign[partner < rep] *= -1.0
+        rep = np.minimum(rep, partner)
+
+    keep = (sign != 0.0) & (rep == np.arange(nv))
     n_dofs = int(keep.sum())
     dof_of = -np.ones(nv, dtype=np.int64)
     dof_of[keep] = np.arange(n_dofs)
-    vertex_to_dof = np.where(is_dirichlet, -1, dof_of[rep])
+    vertex_to_dof = np.where(sign != 0.0, dof_of[rep], -1)
 
     rows = np.nonzero(vertex_to_dof >= 0)[0]
     proj = sp.coo_matrix(
-        (np.ones(rows.size), (rows, vertex_to_dof[rows])), shape=(nv, n_dofs)
+        (sign[rows], (rows, vertex_to_dof[rows])), shape=(nv, n_dofs)
     ).tocsr()
     reduced = [(proj.T @ a @ proj).tocsr() for a in matrices]
     for a in reduced:
         a.sort_indices()
-    return (*reduced, DofMap(vertex_to_dof=vertex_to_dof, n_dofs=n_dofs))
-
+    return (*reduced, DofMap(vertex_to_dof=vertex_to_dof, n_dofs=n_dofs, sign=sign))

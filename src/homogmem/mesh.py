@@ -361,7 +361,8 @@ def build_cell_mesh(geom: CellGeometry, h: float, n_arc: int = 128) -> TriMesh:
         )
 
     n = max(2, int(round(1.0 / h)))
-    # the full grid is allocated first, so an absurd h fails before any work
+    # no size guard here: later arrays (the edge table) outgrow the grid;
+    # the CLI refuses meshes above cli._MAX_VERTICES before any stage runs
     grid = np.empty(((n + 1) ** 2, 2))
     coords = np.linspace(0.0, 1.0, n + 1)
     grid[:, 0] = np.tile(coords, n + 1)
@@ -489,8 +490,8 @@ def build_inclusion_mesh(geom: CellGeometry, h: float, n_arc: int = 256) -> TriM
     quarter_arc = n_arc // 4
     nr = max(2, math.ceil(geom.a / h))
 
-    # the whole point array is allocated first, so an absurd h fails before
-    # any work; then the centre and the rings, axis points exact
+    # the centre and the rings, axis points exact (sizes are gated by the
+    # CLI's cli._MAX_VERTICES before any stage runs, not here)
     local = np.empty((_quarter_vertex_count(nr, quarter_arc), 2))
     j = np.arange(1, nr + 1)
     segs = _ring_segments(j, nr, quarter_arc)

@@ -1,7 +1,7 @@
 """Sparse direct solves and partial generalized eigensolves.
 
 Every linear system in the package has a fixed SPD matrix: the macro step
-matrix, the mass projection and the pinned corrector system.  Each is
+matrix, the mass projection and the folded corrector system.  Each is
 factorised once with SuperLU in symmetric mode (``factor_transpose``): the
 factor is of a', the zero-copy CSC view of a's CSR arrays, and each solve
 is SuperLU's transposed solve, which is exact for any square a and faster

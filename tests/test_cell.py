@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from homogmem import cell, fem, mesh as msh, solvers
+from homogmem.errors import ConvergenceError
 
 
 def solve_tensor(geom, h, n_arc=128):
@@ -15,16 +18,84 @@ def solve_tensor(geom, h, n_arc=128):
 
 
 def bordered_oracle(y1, geom, load):
-    """Nodal theta and multiplier of the dense Lagrange-bordered system
-    [[A, c], [c', 0]] [x; mu] = [b; 0] for the nodal load ``load``."""
+    """Nodal theta and multiplier of the Lagrange-bordered system
+    [[A, c], [c', 0]] [x; mu] = [b; 0] for the nodal load ``load``, by a
+    sparse LU with partial pivoting."""
     a, dofmap = fem.apply_constraints(y1, fem.assemble_stiffness(y1, geom.d1))
     c = dofmap.reduce(fem.integral_weights(y1))
     n = dofmap.n_dofs
-    bordered = np.zeros((n + 1, n + 1))
-    bordered[:n, :n] = a.toarray()
-    bordered[:n, n] = bordered[n, :n] = c
-    sol = np.linalg.solve(bordered, np.append(dofmap.reduce(load), 0.0))
+    bordered = sp.bmat([[a, c[:, None]], [c[None, :], None]], format="csc")
+    sol = spla.splu(bordered).solve(np.append(dofmap.reduce(load), 0.0))
     return dofmap.expand(sol[:n]), sol[n]
+
+
+def assert_matches_oracle(correctors, geom):
+    """theta to 1e-12 of its max, and D to 1e-12 relative, against the
+    bordered oracle."""
+    y1 = correctors.mesh
+    reference = []
+    for comp in correctors.components:
+        load = fem.assemble_corrector_rhs(y1, comp.direction, coeff=geom.d1)
+        theta, _ = bordered_oracle(y1, geom, load)
+        assert np.abs(comp.theta - theta).max() <= 1e-12 * np.abs(theta).max()
+        reference.append(dataclasses.replace(comp, theta=theta))
+    d = cell.effective_tensor(correctors, geom).tensor
+    d_ref = cell.effective_tensor(
+        dataclasses.replace(correctors, components=tuple(reference)), geom).tensor
+    assert np.abs(d - d_ref).max() <= 1e-12 * np.abs(d_ref).max()
+
+
+@pytest.fixture
+def factor_sizes(monkeypatch):
+    """Sizes of the matrices solvers.factorize is given, in call order."""
+    sizes = []
+    factorize = solvers.factorize
+
+    def recording(a, tol):
+        sizes.append(a.shape[0])
+        return factorize(a, tol)
+
+    monkeypatch.setattr(solvers, "factorize", recording)
+    return sizes
+
+
+def took_half_turn_fold(correctors, sizes):
+    """Whether the last factor was of the odd fold, at most half the
+    periodic dofs, rather than of the pinned periodic system."""
+    (periodic,) = fem.apply_constraints(correctors.mesh)
+    return 2 * sizes[-1] <= periodic.n_dofs
+
+
+def flip_one_diagonal(mesh):
+    """``mesh`` with one interior Y1 edge flipped whose two triangles form a
+    convex quad that is not cocircular, so the stiffness changes."""
+    p = mesh.vertices
+    sides = {}
+    for t, tri in enumerate(mesh.triangles):
+        for k in range(3):
+            edge = tuple(sorted((tri[(k + 1) % 3], tri[(k + 2) % 3])))
+            sides.setdefault(edge, []).append((t, tri[k]))
+
+    def cross(o, a, b):  # twice the signed area of (o, a, b)
+        u, v = p[a] - p[o], p[b] - p[o]
+        return u[0] * v[1] - u[1] * v[0]
+
+    def angle(c, a, b):
+        return math.atan2(abs(cross(c, a, b)), (p[a] - p[c]) @ (p[b] - p[c]))
+
+    for (a, b), pair in sides.items():
+        if len(pair) != 2 or (mesh.subdomain[[pair[0][0], pair[1][0]]] != msh.Y1).any():
+            continue
+        (t1, c1), (t2, c2) = pair
+        if angle(c1, a, b) + angle(c2, a, b) > math.pi - 0.3:
+            continue  # keep clear of cocircular quads, whose flip changes nothing
+        if cross(c1, c2, a) * cross(c1, c2, b) >= 0.0:
+            continue  # a and b on one side of c1-c2: the quad is not convex
+        tris = mesh.triangles.copy()
+        tris[t1] = [c1, c2, a] if cross(c1, c2, a) > 0.0 else [c2, c1, a]
+        tris[t2] = [c1, c2, b] if cross(c1, c2, b) > 0.0 else [c2, c1, b]
+        return dataclasses.replace(mesh, triangles=tris)
+    raise AssertionError("no flippable edge")
 
 
 class TestCorrectors:
@@ -74,9 +145,16 @@ class TestCorrectors:
             assert np.abs(comp.theta - theta).max() <= 1e-12 * np.abs(theta).max()
             assert comp.residual <= 1e-10
 
-    def test_pinning_another_dof_keeps_theta(self, coarse_correctors, ref_geom):
-        # reversing the vertex order makes another vertex dof 0
-        y1 = coarse_correctors.mesh
+    @pytest.mark.parametrize("n_arc", [128, 127], ids=["half-turn", "pin"])
+    def test_pinning_another_dof_keeps_theta(self, coarse_cell_mesh, ref_geom, n_arc,
+                                             factor_sizes):
+        # reversing the vertex order makes another vertex dof 0 (and, on the
+        # half-turn fold, another vertex of each swapped pair keeps the dof)
+        mesh = (coarse_cell_mesh if n_arc == 128 else
+                msh.periodic_pairs(msh.build_cell_mesh(ref_geom, 1.0 / 48, n_arc=n_arc)))
+        base = cell.solve_correctors(mesh, ref_geom)
+        assert took_half_turn_fold(base, factor_sizes) == (n_arc % 2 == 0)
+        y1 = base.mesh
         perm = np.arange(y1.n_vertices)[::-1]
         inv = np.argsort(perm)
         reversed_y1 = dataclasses.replace(
@@ -90,9 +168,50 @@ class TestCorrectors:
 
         assert perm[pinned_vertex(reversed_y1)] != pinned_vertex(y1)
         again = cell.solve_correctors(reversed_y1, ref_geom)
-        for old, new in zip(coarse_correctors.components, again.components):
+        for old, new in zip(base.components, again.components):
             assert np.abs(new.theta - old.theta[perm]).max() <= (
                 1e-12 * np.abs(old.theta).max())
+
+    @pytest.mark.parametrize("n", [24, 48, 96])
+    @pytest.mark.parametrize("angle", [0.0, 30.0, -41.0])
+    def test_half_turn_fold_matches_bordered_oracle(self, angle, n, factor_sizes):
+        # every builtin mesh of a centred inclusion with even n_arc maps to
+        # itself under the half-turn, up to cocircular diagonals, so it must
+        # take the fold and its saving
+        geom = msh.CellGeometry(a=0.4, b=0.2, angle_deg=angle)
+        mesh = msh.periodic_pairs(msh.build_cell_mesh(geom, 1.0 / n, n_arc=8 * n // 3))
+        correctors = cell.solve_correctors(mesh, geom)
+        assert factor_sizes and took_half_turn_fold(correctors, factor_sizes)
+        assert_matches_oracle(correctors, geom)
+
+    @pytest.mark.parametrize("case", ["odd-n_arc", "off-centre", "flipped-diagonal"])
+    def test_asymmetric_meshes_take_the_pin(self, ref_geom, case, factor_sizes):
+        geom, n_arc = ref_geom, 128
+        if case == "odd-n_arc":
+            n_arc = 127
+        elif case == "off-centre":
+            geom = dataclasses.replace(ref_geom, center=(0.45, 0.5))
+        mesh = msh.periodic_pairs(msh.build_cell_mesh(geom, 1.0 / 48, n_arc=n_arc))
+        if case == "flipped-diagonal":
+            mesh = flip_one_diagonal(mesh)
+        correctors = cell.solve_correctors(mesh, geom)
+        assert not took_half_turn_fold(correctors, factor_sizes)
+        assert_matches_oracle(correctors, geom)
+
+    @pytest.mark.parametrize("n_arc", [64, 63], ids=["half-turn", "pin"])
+    def test_unmet_full_residual_raises(self, ref_geom, n_arc, monkeypatch):
+        # the factor's own check sees only the folded system; the check of
+        # the unfolded one must catch a solution that does not solve it
+        mesh = msh.periodic_pairs(msh.build_cell_mesh(ref_geom, 1.0 / 24, n_arc=n_arc))
+        factorize = solvers.factorize
+
+        def perturbed(a, tol):
+            solve = factorize(a, tol)
+            return lambda b: solve(b) + 1e-6 * np.cos(np.arange(b.size))
+
+        monkeypatch.setattr(solvers, "factorize", perturbed)
+        with pytest.raises(ConvergenceError, match="relative residual"):
+            cell.solve_correctors(mesh, ref_geom)
 
     def test_periodic_values_identical(self, coarse_correctors):
         pairs = coarse_correctors.mesh.periodic_pairs

@@ -8,6 +8,13 @@ import scipy.sparse as sp
 from homogmem import fem, mesh as msh
 
 
+def half_turn_image(mesh):
+    """Vertex index of (1, 1) - v for every vertex v, matched on rounded keys."""
+    keys = np.round(mesh.vertices * 1e9).astype(np.int64)
+    index = {tuple(k): i for i, k in enumerate(keys)}
+    return np.array([index[tuple(k)] for k in 10**9 - keys])
+
+
 def reference_triangle():
     """Unit right triangle (0,0)-(1,0)-(0,1) as a one-element mesh."""
     return msh.TriMesh(
@@ -125,20 +132,46 @@ class TestConstraints:
         ones = np.ones(dofmap.n_dofs)
         assert np.abs(k_red @ ones).max() < 1e-12
 
-    def test_expand_restrict_roundtrip(self, coarse_cell_mesh):
-        k = fem.assemble_stiffness(coarse_cell_mesh, 1.0)
-        _, dofmap = fem.apply_constraints(coarse_cell_mesh, k)
+    @pytest.mark.parametrize("odd", [False, True], ids=["periodic", "half-turn"])
+    def test_expand_restrict_roundtrip(self, coarse_cell_mesh, odd):
+        mesh = coarse_cell_mesh
+        image = half_turn_image(mesh) if odd else None
+        k = fem.assemble_stiffness(mesh, 1.0)
+        _, dofmap = fem.apply_constraints(mesh, k, odd_image=image)
         x = np.sin(np.arange(dofmap.n_dofs))
         full = dofmap.expand(x)
         free = dofmap.vertex_to_dof >= 0
         back = np.empty(dofmap.n_dofs)
-        back[dofmap.vertex_to_dof[free]] = full[free]
+        back[dofmap.vertex_to_dof[free]] = (dofmap.sign * full)[free]
         assert np.array_equal(back, x)
-        for s, m in coarse_cell_mesh.periodic_pairs:
+        for s, m in mesh.periodic_pairs:
             assert full[s] == full[m]
         # reduce is the transpose of expand: f . expand(x) == reduce(f) . x
-        f = np.cos(np.arange(coarse_cell_mesh.n_vertices))
-        assert f @ full == pytest.approx(dofmap.reduce(f) @ x, rel=1e-12)
+        f = np.cos(np.arange(mesh.n_vertices))
+        assert abs(f @ full - dofmap.reduce(f) @ x) <= 1e-14 * (np.abs(f) @ np.abs(full))
+        if odd:
+            assert np.array_equal(full[image], -full)
+            # the vertices the half-turn fixes modulo periodicity hold 0
+            fixed = [[0, 0], [1, 0], [0, 1], [1, 1], [0.5, 0], [0.5, 1], [0, 0.5],
+                     [1, 0.5], [0.5, 0.5]]
+            at = [np.flatnonzero((mesh.vertices == p).all(axis=1)) for p in fixed]
+            assert all(i.size == 1 for i in at)
+            assert (full[np.concatenate(at)] == 0.0).all()
+            # four fixed periodic classes; the others pair up
+            assert 2 * dofmap.n_dofs == mesh.n_vertices - len(mesh.periodic_pairs) - 4
+
+    def test_odd_image_must_fold_classes_onto_classes(self):
+        mesh = msh.periodic_pairs(msh.build_unit_square_mesh(3))
+        k = fem.assemble_stiffness(mesh, 1.0)
+        with pytest.raises(ValueError, match="involution"):
+            fem.apply_constraints(mesh, k, odd_image=np.roll(np.arange(16), 1))
+        swap = np.arange(16)
+        swap[[0, 5]] = [5, 0]  # a corner (with three slaves) and an interior vertex
+        with pytest.raises(ValueError, match="periodic classes"):
+            fem.apply_constraints(mesh, k, odd_image=swap)
+        plain = msh.build_unit_square_mesh(3)
+        with pytest.raises(ValueError, match="Dirichlet"):
+            fem.apply_constraints(plain, k, dirichlet_tags=("outer",), odd_image=swap)
 
     def test_unknown_tag_rejected(self, coarse_cell_mesh):
         k = fem.assemble_stiffness(coarse_cell_mesh, 1.0)
