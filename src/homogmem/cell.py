@@ -66,13 +66,6 @@ class EffectiveTensor:
             raise ValueError("effective tensor must be positive definite")
 
 
-def _y1_submesh(cell: TriMesh) -> TriMesh:
-    sub, _ = msh.submesh(cell, msh.Y1)
-    if not sub.periodic_pairs.size:
-        raise ValueError("cell mesh lacks periodic pairing; call periodic_pairs first")
-    return sub
-
-
 def _half_turn_image(y1: TriMesh, stiffness: sp.csr_matrix,
                      loads: list[np.ndarray]) -> np.ndarray | None:
     """The vertex map v -> (1, 1) - v when the Y1 problem is odd under it.
@@ -106,8 +99,9 @@ def _half_turn_image(y1: TriMesh, stiffness: sp.csr_matrix,
 def solve_correctors(cell: TriMesh, geom: CellGeometry) -> CorrectorSolution:
     """Solve the periodic cell problem for both unit-gradient directions.
 
-    ``cell`` is the full cell mesh (Y1/Y2 labeled, periodic pairs filled) or
-    an already-restricted Y1 mesh.  A x + c mu = b, c'x = 0 (A, b, c the
+    ``cell`` is the full Y1/Y2-labeled cell mesh or an already-restricted
+    Y1 mesh; its frame must pair (``mesh.periodic_pairs``, whose
+    PeriodicityError propagates).  A x + c mu = b, c'x = 0 (A, b, c the
     periodic-reduced stiffness, load and basis integrals) has
     mu = sum(b) / sum(c), as 1'A = 0; b - mu c is then in the range of A.
     When A is invariant and both loads are odd under the half-turn, the
@@ -117,15 +111,17 @@ def solve_correctors(cell: TriMesh, geom: CellGeometry) -> CorrectorSolution:
     checked once, against the unrestricted A x + c mu = b; each component
     holds theta on the Y1 submesh, mu, and that relative residual.
     """
-    y1 = _y1_submesh(cell)
+    y1, _ = msh.submesh(cell, msh.Y1)
+    pairs = msh.periodic_pairs(y1)
     stiffness = fem.assemble_stiffness(y1, geom.d1)
     weights = fem.integral_weights(y1)
     loads = [fem.assemble_corrector_rhs(y1, direction, coeff=geom.d1)
              for direction in (1, 2)]
-    (periodic,) = fem.apply_constraints(y1)
+    (periodic,) = fem.apply_constraints(y1, periodic_pairs=pairs)
     image = _half_turn_image(y1, stiffness,
                              [periodic.expand(periodic.reduce(f)) for f in loads])
-    a_red, dofmap = fem.apply_constraints(y1, stiffness, odd_image=image)
+    a_red, dofmap = fem.apply_constraints(y1, stiffness, periodic_pairs=pairs,
+                                          odd_image=image)
     pin = int(image is None)  # the odd fields hold no constant to pin
     solve = solvers.factor_transpose(a_red[pin:, pin:])
     c = periodic.reduce(weights)

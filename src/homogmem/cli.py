@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, cell as cell_mod, kernel as kernel_mod, macro, mesh as msh, output
+from . import (__version__, cell as cell_mod, fem, kernel as kernel_mod, macro,
+               mesh as msh, output)
 from .errors import ConvergenceError, HomogError
 
 DEFAULT_CONFIG: dict = {
@@ -135,7 +136,7 @@ def _cell_mesh(config: dict, geom: msh.CellGeometry) -> msh.TriMesh:
         mesh = msh.read_msh(mc["msh_path"], subdomain_map=sub_map or None)
         # the built-in mesher checks its own invariants; a file is checked here
         msh.validate_mesh(mesh)
-    return msh.periodic_pairs(mesh)
+    return mesh
 
 
 _U0_FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs", "tanh", "cosh",
@@ -270,7 +271,7 @@ def _check_config(config: dict, stages: list[str]) -> None:
             raise ValueError(f"kernel.epsilon must be >= 0, got {kc['epsilon']}")
     if "solve" in stages:
         mac = config["macro"]
-        _resolve_u0(mac["u0"])
+        u0 = _resolve_u0(mac["u0"])
         macro.check_time_grid(mac["tau"], mac["t_end"], mac["sigma"],
                               mac["snapshot_times"])
         if mac["n"] < 1:
@@ -280,6 +281,11 @@ def _check_config(config: dict, stages: list[str]) -> None:
         if vertices > _MAX_VERTICES:
             raise ValueError(f"{key}={value} gives more mesh vertices ({vertices}) "
                              f"than a sparse factor can index ({_MAX_VERTICES})")
+    if "solve" in stages:
+        # u0 goes through the solve stage's own load, on its own mesh
+        mesh = msh.build_unit_square_mesh(mac["n"])
+        (dofmap,) = fem.apply_constraints(mesh, dirichlet_tags=(msh.OUTER,))
+        macro.initial_load(mesh, u0, dofmap)
 
 
 def _check_output_dir(outdir: Path, stages: list[str], config: dict,

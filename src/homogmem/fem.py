@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from . import mesh as msh
 from .mesh import TriMesh
 
 _MASS_ELEMENT = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
@@ -135,20 +134,21 @@ def nodal_sum(mesh: TriMesh, contrib: np.ndarray) -> np.ndarray:
 
 
 def apply_constraints(mesh: TriMesh, *matrices: sp.spmatrix, dirichlet_tags=(),
-                      odd_image=None):
+                      periodic_pairs=None, odd_image=None):
     """Reduce each of ``matrices`` by one set of Dirichlet/periodic
     constraints.
 
-    Homogeneous Dirichlet vertices (on boundary edges carrying one of
-    ``dirichlet_tags``, given by name) are eliminated; the slave row and
-    column of every (slave, master) row of ``mesh.periodic_pairs`` are
-    folded onto the master, so a mesh without pairs folds nothing.  A master
-    that is itself a slave, or a pair that touches a Dirichlet vertex, is a
-    ValueError.  ``odd_image``, a vertex involution that maps periodic
-    classes onto classes and Dirichlet vertices onto Dirichlet vertices,
-    further restricts the system to fields u with u[odd_image] = -u: of two
-    classes it swaps, the one with the lower master keeps the dof and the
-    other folds onto it with sign -1, and a class it fixes is eliminated.
+    Homogeneous Dirichlet vertices (on boundary edges carrying one of the
+    tag codes ``dirichlet_tags``, such as ``mesh.OUTER``) are eliminated;
+    the slave row and column of every (slave, master) row of
+    ``periodic_pairs`` (as ``mesh.periodic_pairs`` returns them; None folds
+    nothing) are folded onto the master.  A master that is itself a slave,
+    or a pair that touches a Dirichlet vertex, is a ValueError.
+    ``odd_image``, a vertex involution that maps periodic classes onto
+    classes and Dirichlet vertices onto Dirichlet vertices, further
+    restricts the system to fields u with u[odd_image] = -u: of two classes
+    it swaps, the one with the lower master keeps the dof and the other
+    folds onto it with sign -1, and a class it fixes is eliminated.
     Returns the reduced matrices in order, then the DofMap whose ``reduce``
     folds load vectors onto the same system.
     """
@@ -158,17 +158,13 @@ def apply_constraints(mesh: TriMesh, *matrices: sp.spmatrix, dirichlet_tags=(),
 
     dirichlet = np.array([], dtype=np.int64)
     if dirichlet_tags:
-        codes = []
-        for name in dirichlet_tags:
-            if name not in msh.BOUNDARY_CODES:
-                raise ValueError(f"unknown boundary tag {name!r}")
-            codes.append(msh.BOUNDARY_CODES[name])
-        sel = np.isin(mesh.boundary_tags, codes)
+        sel = np.isin(mesh.boundary_tags, dirichlet_tags)
         if not sel.any():
             raise ValueError(f"no boundary edges tagged {tuple(dirichlet_tags)}")
         dirichlet = np.unique(mesh.boundary_edges[sel])
 
-    pairs = mesh.periodic_pairs
+    pairs = np.asarray(() if periodic_pairs is None else periodic_pairs,
+                       dtype=np.int64).reshape(-1, 2)
     slaves, masters = pairs.T
     chained = np.isin(masters, slaves)
     if chained.any():

@@ -50,8 +50,8 @@ class KernelApproximation:
         return float((self.amplitudes / self.rates).sum() + self.remainder)
 
 
-def _symmetry_classes(y2: TriMesh) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
-    """(Dirichlet tags, odd axes) of every symmetry class of ``y2``.
+def _symmetry_classes(y2: TriMesh) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(Dirichlet tag codes, odd axis codes) of every symmetry class of ``y2``.
 
     A mesh without symmetry-axis tags is one class, Dirichlet on its whole
     boundary.  A mesh cut along symmetry axes has one class per subset of
@@ -59,9 +59,8 @@ def _symmetry_classes(y2: TriMesh) -> list[tuple[tuple[str, ...], tuple[str, ...
     one has zero normal flux (natural there).  The even class comes first.
     """
     present = {int(t) for t in np.unique(y2.boundary_tags)}
-    axes = [msh.BOUNDARY_NAMES[t] for t in msh.SYMMETRY_AXES if t in present]
-    base = tuple(sorted(msh.BOUNDARY_NAMES[t] for t in present
-                        if t not in msh.SYMMETRY_AXES))
+    axes = [t for t in msh.SYMMETRY_AXES if t in present]
+    base = tuple(sorted(present.difference(msh.SYMMETRY_AXES)))
     classes = []
     for bits in itertools.product((False, True), repeat=len(axes)):
         odd = tuple(axis for axis, flip in zip(axes, bits) if flip)

@@ -39,7 +39,7 @@ from scipy.linalg.blas import dger
 from . import fem, solvers
 from .errors import ConvergenceError
 from .kernel import KernelApproximation
-from .mesh import TriMesh
+from .mesh import OUTER, TriMesh
 
 # relative residual every macro linear solve must meet
 _SOLVER_TOL = 1e-12
@@ -73,7 +73,7 @@ class MacroProblem:
     """Initial-boundary-value problem on the macro mesh.
 
     ``u0(x1, x2)`` is a vectorized initial condition; homogeneous Dirichlet
-    data is imposed on boundary edges tagged "outer".  ``sigma`` weights the
+    data is imposed on boundary edges tagged OUTER.  ``sigma`` weights the
     two time levels: 1 is implicit Euler, 1/2 is the symmetric scheme, and
     values below 1/2 are only conditionally stable.
     """
@@ -108,7 +108,7 @@ class _StepOperator:
         stiff = fem.assemble_stiffness(mesh, problem.tensor)
         mass = fem.assemble_mass(mesh)
         self.stiffness, self.mass, self.dofmap = fem.apply_constraints(
-            mesh, stiff, mass, dirichlet_tags=("outer",)
+            mesh, stiff, mass, dirichlet_tags=(OUTER,)
         )
         sig, tau = problem.sigma, problem.tau
         self.amplitudes = ker.amplitudes
@@ -142,17 +142,26 @@ class MacroState:
     ops: _StepOperator = field(repr=False)
 
 
-def _project_initial(problem: MacroProblem, ops: _StepOperator) -> np.ndarray:
-    """L2 projection of u0 via the mass system and a 3-midpoint edge rule."""
-    mesh = problem.mesh
+def initial_load(mesh: TriMesh, u0, dofmap: fem.DofMap) -> np.ndarray:
+    """Load of the L2 projection of u0 by a 3-midpoint edge rule, reduced
+    by ``dofmap``.  A reduced load that is not finite is a ValueError; a
+    value that is not finite on a dropped (Dirichlet) vertex only is
+    harmless, so numpy's divide and invalid warnings are off."""
     p = mesh.vertices[mesh.triangles]
     mids = 0.5 * (p + np.roll(p, -1, axis=1))  # midpoints of edges 01, 12, 20
-    vals = problem.u0(mids[:, :, 0], mids[:, :, 1])
     # phi_v is 1/2 on the midpoints of edges (v-1, v) and (v, v+1), 0 on the third
-    contrib = (vals + np.roll(vals, 1, axis=1)) * (mesh.areas / 6.0)[:, None]
-    load = ops.dofmap.reduce(fem.nodal_sum(mesh, contrib))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = u0(mids[:, :, 0], mids[:, :, 1])
+        contrib = (vals + np.roll(vals, 1, axis=1)) * (mesh.areas / 6.0)[:, None]
+    load = dofmap.reduce(fem.nodal_sum(mesh, contrib))
     if not np.isfinite(load).all():
         raise ValueError("macro.u0 is not finite inside the domain")
+    return load
+
+
+def _project_initial(problem: MacroProblem, ops: _StepOperator) -> np.ndarray:
+    """L2 projection of u0 via the mass system."""
+    load = initial_load(problem.mesh, problem.u0, ops.dofmap)
     return solvers.solve_spd(ops.mass, load, tol=_SOLVER_TOL)
 
 

@@ -4,7 +4,7 @@ All meshes are flat lists of vertices and positively oriented triangles with
 per-triangle subdomain labels and tagged boundary edges.  The cell mesher
 resolves the inclusion boundary exactly by an inscribed polygon whose edges
 are mesh edges, and keeps the square-edge vertex layout mirror-identical on
-opposite sides so that periodic pairing succeeds by coordinate matching.
+opposite sides so that ``periodic_pairs`` matches them by coordinates.
 Each mesh fact has one home: a mesher's size function is also its argument
 check, ``submesh`` is the one restriction to subdomains (a no-op on a mesh
 already restricted), and a TriMesh caches its areas and P1 gradients.
@@ -12,7 +12,7 @@ already restricted), and a TriMesh caches its areas and P1 gradients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -34,9 +34,6 @@ INCLUSION = 2
 MAJOR_AXIS = 3
 MINOR_AXIS = 4
 SYMMETRY_AXES = (MAJOR_AXIS, MINOR_AXIS)
-BOUNDARY_NAMES = {OUTER: "outer", INCLUSION: "inclusion",
-                  MAJOR_AXIS: "major_axis", MINOR_AXIS: "minor_axis"}
-BOUNDARY_CODES = {v: k for k, v in BOUNDARY_NAMES.items()}
 
 PAIRING_TOL = 1e-9
 
@@ -60,9 +57,6 @@ class TriMesh:
     boundary_edges : (ne, 2) int array (includes material interfaces)
     boundary_tags : (ne,) int array of tags (OUTER, INCLUSION, and on a
         quarter inclusion MAJOR_AXIS, MINOR_AXIS)
-    periodic_pairs : (n_pairs, 2) int64 array of (slave, master) vertex
-        rows, ascending by slave; empty unless ``periodic_pairs(mesh)``
-        filled it
     """
 
     vertices: np.ndarray
@@ -70,8 +64,6 @@ class TriMesh:
     subdomain: np.ndarray
     boundary_edges: np.ndarray
     boundary_tags: np.ndarray
-    periodic_pairs: np.ndarray = field(
-        default_factory=lambda: np.zeros((0, 2), dtype=np.int64))
 
     @property
     def n_vertices(self) -> int:
@@ -309,7 +301,7 @@ def build_cell_mesh(geom: CellGeometry, h: float, n_arc: int = 128) -> TriMesh:
     ``n_arc``-gon of the ellipse; grid points inside a clearance band around
     the polygon are removed so that every polygon edge is guaranteed to be a
     Delaunay edge (empty diametral circles).  Square-edge vertices are never
-    moved, which keeps opposite sides mirror-identical for periodic pairing.
+    moved, which keeps opposite sides mirror-identical, so that they pair.
     Triangles are labeled Y2 inside the polygon and Y1 outside; polygon edges
     are tagged INCLUSION, the square frame OUTER.
 
@@ -555,8 +547,9 @@ def build_inclusion_mesh(geom: CellGeometry, h: float, n_arc: int = 256) -> TriM
     )
 
 
-def periodic_pairs(mesh: TriMesh) -> TriMesh:
-    """Return a copy of the mesh with its (slave, master) periodic pairs.
+def periodic_pairs(mesh: TriMesh) -> np.ndarray:
+    """The (n_pairs, 2) int64 array of (slave, master) periodic vertex
+    pairs of the mesh, ascending by slave.
 
     Every outer vertex on the right or top side is a slave: translated by
     one cell width off each of those sides it lies on, it must land within
@@ -584,16 +577,15 @@ def periodic_pairs(mesh: TriMesh) -> TriMesh:
     taken = np.bincount(nearest, minlength=int(master.sum()))
     if not np.array_equal(taken, 2 ** low[master].sum(axis=1) - 1):
         raise PeriodicityError("opposite sides do not pair one to one")
-    pairs = np.column_stack([outer[slave], outer[master][nearest]])
-    return replace(mesh, periodic_pairs=pairs)
+    return np.column_stack([outer[slave], outer[master][nearest]])
 
 
 def submesh(mesh: TriMesh, labels) -> tuple[TriMesh, np.ndarray]:
     """Restrict the mesh to triangles with the given subdomain labels.
 
     Returns the renumbered submesh and the map from its vertex indices back
-    to the parent mesh.  Parent boundary tags are kept where they apply;
-    periodic pairs whose vertices survive are carried over.  A mesh whose
+    to the parent mesh.  Parent boundary tags are kept where they apply.
+    A mesh whose
     every triangle carries one of the labels is already restricted: it is
     returned itself, with the identity map.
     """
@@ -622,20 +614,18 @@ def submesh(mesh: TriMesh, labels) -> tuple[TriMesh, np.ndarray]:
     found[found] = parent_keys[pos[found]] == query[found]
     tags = np.full(query.size, OUTER, dtype=int)
     tags[found] = mesh.boundary_tags[order[pos[found]]]
-    pairs = renum[mesh.periodic_pairs]
     sub = TriMesh(
         vertices=mesh.vertices[vmap],
         triangles=new_tris,
         subdomain=mesh.subdomain[keep],
         boundary_edges=open_edges,
         boundary_tags=tags,
-        periodic_pairs=pairs[(pairs >= 0).all(axis=1)],
     )
     return sub, vmap
 
 
 def validate_mesh(mesh: TriMesh) -> None:
-    """Check orientation, conformity, tags, and periodic-pair geometry."""
+    """Check orientation, conformity, boundary edges and subdomain labels."""
     if not mesh.areas.min() > 0.0:  # also catches NaN
         raise ValueError("mesh has a non-positively-oriented triangle")
     uniq, _, counts = _edge_incidence(mesh.triangles)
@@ -654,15 +644,6 @@ def validate_mesh(mesh: TriMesh) -> None:
         raise ValueError(f"boundary edge {key} not present in the mesh")
     if not np.isin(mesh.subdomain, [OMEGA, Y1, Y2]).all():
         raise ValueError("unknown subdomain label")
-    slaves, masters = mesh.periodic_pairs.T
-    delta = mesh.vertices[slaves] - mesh.vertices[masters]
-    snapped = np.round(delta)
-    off = (np.abs(delta - snapped) > PAIRING_TOL) | (np.abs(snapped) > 1.0)
-    bad = off.any(axis=1) | ~snapped.any(axis=1)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"pair {slaves[i]}->{masters[i]} offset {delta[i]} "
-                         "is not a translation by one cell")
 
 
 _MSH_LINE = 1

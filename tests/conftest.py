@@ -30,8 +30,8 @@ def ref_geom():
 
 @pytest.fixture(scope="session")
 def coarse_cell_mesh():
-    """Reference cell at h=1/48 with periodic pairing (unit-test scale)."""
-    return msh.periodic_pairs(msh.build_cell_mesh(REF_GEOM, 1.0 / 48, n_arc=128))
+    """Reference cell at h=1/48 (unit-test scale)."""
+    return msh.build_cell_mesh(REF_GEOM, 1.0 / 48, n_arc=128)
 
 
 @pytest.fixture(scope="session")

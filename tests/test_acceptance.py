@@ -37,7 +37,7 @@ def m_norm(vec, mass):
 def tensor_stage():
     """Reference-cell tensor on the ~9e3-node mesh, with wall time."""
     start = time.perf_counter()
-    mesh = msh.periodic_pairs(msh.build_cell_mesh(REF_GEOM, 1.0 / 96, n_arc=256))
+    mesh = msh.build_cell_mesh(REF_GEOM, 1.0 / 96, n_arc=256)
     correctors = cell.solve_correctors(mesh, REF_GEOM)
     result = cell.effective_tensor(correctors, REF_GEOM)
     wall = time.perf_counter() - start
@@ -237,7 +237,7 @@ def test_criterion_09_structural_identities():
     # homogeneous cell: no inclusion, any d1 -> D = d1*I
     d1 = 1.3
     geom_h = msh.CellGeometry(a=0.2, b=0.1, d1=d1)
-    mesh_h = msh.periodic_pairs(msh.build_unit_square_mesh(16, label=msh.Y1))
+    mesh_h = msh.build_unit_square_mesh(16, label=msh.Y1)
     hom = cell.effective_tensor(cell.solve_correctors(mesh_h, geom_h), geom_h)
     hom_dev = np.abs(hom.tensor - d1 * np.eye(2)).max()
     hom_ok = hom_dev <= 1e-9
@@ -246,7 +246,7 @@ def test_criterion_09_structural_identities():
     f = 0.01
     radius = float(np.sqrt(f / np.pi))
     geom_d = msh.CellGeometry(a=radius, b=radius)
-    mesh_d = msh.periodic_pairs(msh.build_cell_mesh(geom_d, 1.0 / 64, n_arc=128))
+    mesh_d = msh.build_cell_mesh(geom_d, 1.0 / 64, n_arc=128)
     dil = cell.effective_tensor(cell.solve_correctors(mesh_d, geom_d), geom_d)
     target = 1.0 / (1.0 + f)
     dil_dev = max(
@@ -260,8 +260,8 @@ def test_criterion_09_structural_identities():
     # the off-diagonal sign
     base_g = msh.CellGeometry(a=0.4, b=0.2, angle_deg=30.0)
     rot_g = msh.CellGeometry(a=0.4, b=0.2, angle_deg=120.0)
-    mesh_b = msh.periodic_pairs(msh.build_cell_mesh(base_g, 1.0 / 64, n_arc=128))
-    mesh_r = msh.periodic_pairs(msh.build_cell_mesh(rot_g, 1.0 / 64, n_arc=128))
+    mesh_b = msh.build_cell_mesh(base_g, 1.0 / 64, n_arc=128)
+    mesh_r = msh.build_cell_mesh(rot_g, 1.0 / 64, n_arc=128)
     d_b = cell.effective_tensor(cell.solve_correctors(mesh_b, base_g), base_g).tensor
     d_r = cell.effective_tensor(cell.solve_correctors(mesh_r, rot_g), rot_g).tensor
     rot_dev = max(

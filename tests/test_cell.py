@@ -8,20 +8,23 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from homogmem import cell, fem, mesh as msh, solvers
-from homogmem.errors import ConvergenceError
+from homogmem.errors import ConvergenceError, PeriodicityError
 
 
 def solve_tensor(geom, h, n_arc=128):
-    mesh = msh.periodic_pairs(msh.build_cell_mesh(geom, h, n_arc=n_arc))
+    mesh = msh.build_cell_mesh(geom, h, n_arc=n_arc)
     correctors = cell.solve_correctors(mesh, geom)
     return cell.effective_tensor(correctors, geom), correctors
 
 
-def bordered_oracle(y1, geom, load):
+def bordered_oracle(y1, geom, load, pairs=None):
     """Nodal theta and multiplier of the Lagrange-bordered system
     [[A, c], [c', 0]] [x; mu] = [b; 0] for the nodal load ``load``, by a
-    sparse LU with partial pivoting."""
-    a, dofmap = fem.apply_constraints(y1, fem.assemble_stiffness(y1, geom.d1))
+    sparse LU with partial pivoting; ``pairs`` default to Y1's own."""
+    if pairs is None:
+        pairs = msh.periodic_pairs(y1)
+    a, dofmap = fem.apply_constraints(y1, fem.assemble_stiffness(y1, geom.d1),
+                                      periodic_pairs=pairs)
     c = dofmap.reduce(fem.integral_weights(y1))
     n = dofmap.n_dofs
     bordered = sp.bmat([[a, c[:, None]], [c[None, :], None]], format="csc")
@@ -63,7 +66,8 @@ def factor_sizes(monkeypatch):
 def took_half_turn_fold(correctors, sizes):
     """Whether the last factor was of the odd fold, at most half the
     periodic dofs, rather than of the pinned periodic system."""
-    (periodic,) = fem.apply_constraints(correctors.mesh)
+    (periodic,) = fem.apply_constraints(
+        correctors.mesh, periodic_pairs=msh.periodic_pairs(correctors.mesh))
     return 2 * sizes[-1] <= periodic.n_dofs
 
 
@@ -102,7 +106,7 @@ def flip_one_diagonal(mesh):
 class TestCorrectors:
     def test_no_inclusion_gives_zero_corrector(self):
         geom = msh.CellGeometry(a=0.3, b=0.15, d1=1.7)
-        mesh = msh.periodic_pairs(msh.build_unit_square_mesh(12, label=msh.Y1))
+        mesh = msh.build_unit_square_mesh(12, label=msh.Y1)
         correctors = cell.solve_correctors(mesh, geom)
         for comp in correctors.components:
             assert np.abs(comp.theta).max() <= 1e-12
@@ -135,7 +139,8 @@ class TestCorrectors:
         monkeypatch.setattr(fem, "assemble_corrector_rhs",
                             lambda *args, **kw: assemble(*args, **kw) + 1.0)
         shifted = cell.solve_correctors(y1, ref_geom)
-        _, dofmap = fem.apply_constraints(y1, fem.assemble_stiffness(y1, 1.0))
+        _, dofmap = fem.apply_constraints(y1, fem.assemble_stiffness(y1, 1.0),
+                                          periodic_pairs=msh.periodic_pairs(y1))
         c = dofmap.reduce(fem.integral_weights(y1))
         for comp in shifted.components:
             load = fem.assemble_corrector_rhs(y1, comp.direction, coeff=ref_geom.d1)
@@ -152,7 +157,7 @@ class TestCorrectors:
         # reversing the vertex order makes another vertex dof 0 (and, on the
         # half-turn fold, another vertex of each swapped pair keeps the dof)
         mesh = (coarse_cell_mesh if n_arc == 128 else
-                msh.periodic_pairs(msh.build_cell_mesh(ref_geom, 1.0 / 48, n_arc=n_arc)))
+                msh.build_cell_mesh(ref_geom, 1.0 / 48, n_arc=n_arc))
         base = cell.solve_correctors(mesh, ref_geom)
         assert took_half_turn_fold(base, factor_sizes) == (n_arc % 2 == 0)
         y1 = base.mesh
@@ -161,11 +166,11 @@ class TestCorrectors:
         reversed_y1 = dataclasses.replace(
             y1, vertices=y1.vertices[perm], triangles=inv[y1.triangles],
             boundary_edges=inv[y1.boundary_edges],
-            periodic_pairs=inv[y1.periodic_pairs],
         )
 
         def pinned_vertex(mesh):  # dof 0: the first vertex that is no slave
-            return np.setdiff1d(np.arange(mesh.n_vertices), mesh.periodic_pairs[:, 0])[0]
+            slaves = msh.periodic_pairs(mesh)[:, 0]
+            return np.setdiff1d(np.arange(mesh.n_vertices), slaves)[0]
 
         assert perm[pinned_vertex(reversed_y1)] != pinned_vertex(y1)
         again = cell.solve_correctors(reversed_y1, ref_geom)
@@ -180,7 +185,7 @@ class TestCorrectors:
         # itself under the half-turn, up to cocircular diagonals, so it must
         # take the fold and its saving
         geom = msh.CellGeometry(a=0.4, b=0.2, angle_deg=angle)
-        mesh = msh.periodic_pairs(msh.build_cell_mesh(geom, 1.0 / n, n_arc=8 * n // 3))
+        mesh = msh.build_cell_mesh(geom, 1.0 / n, n_arc=8 * n // 3)
         correctors = cell.solve_correctors(mesh, geom)
         assert factor_sizes and took_half_turn_fold(correctors, factor_sizes)
         assert_matches_oracle(correctors, geom)
@@ -192,7 +197,7 @@ class TestCorrectors:
             n_arc = 127
         elif case == "off-centre":
             geom = dataclasses.replace(ref_geom, center=(0.45, 0.5))
-        mesh = msh.periodic_pairs(msh.build_cell_mesh(geom, 1.0 / 48, n_arc=n_arc))
+        mesh = msh.build_cell_mesh(geom, 1.0 / 48, n_arc=n_arc)
         if case == "flipped-diagonal":
             mesh = flip_one_diagonal(mesh)
         correctors = cell.solve_correctors(mesh, geom)
@@ -203,7 +208,7 @@ class TestCorrectors:
     def test_unmet_full_residual_raises(self, ref_geom, n_arc, monkeypatch):
         # the only check is of the unfolded system: it must catch a solution
         # of the folded or pinned one that does not solve it
-        mesh = msh.periodic_pairs(msh.build_cell_mesh(ref_geom, 1.0 / 24, n_arc=n_arc))
+        mesh = msh.build_cell_mesh(ref_geom, 1.0 / 24, n_arc=n_arc)
         factor_transpose = solvers.factor_transpose
 
         def perturbed(a):
@@ -215,7 +220,7 @@ class TestCorrectors:
             cell.solve_correctors(mesh, ref_geom)
 
     def test_periodic_values_identical(self, coarse_correctors):
-        pairs = coarse_correctors.mesh.periodic_pairs
+        pairs = msh.periodic_pairs(coarse_correctors.mesh)
         assert pairs.size
         for comp in coarse_correctors.components:
             for s, m in pairs:
@@ -270,7 +275,7 @@ class TestCorrectors:
         assert [c.residual for c in both.components] == returned
         y1 = both.mesh
         stiffness = fem.assemble_stiffness(y1, ref_geom.d1)
-        (periodic,) = fem.apply_constraints(y1)
+        (periodic,) = fem.apply_constraints(y1, periodic_pairs=msh.periodic_pairs(y1))
         c = periodic.reduce(fem.integral_weights(y1))
         for comp in both.components:
             b = periodic.reduce(
@@ -280,10 +285,27 @@ class TestCorrectors:
                 np.linalg.norm(r) / np.linalg.norm(b), rel=1e-6, abs=1e-15)
             assert 0.0 < comp.residual <= 1e-10
 
-    def test_requires_periodic_pairing(self, ref_geom):
+    @pytest.mark.parametrize("restricted", [False, True], ids=["cell", "y1"])
+    def test_plain_mesh_solves_with_the_full_mesh_pairs(self, coarse_cell_mesh,
+                                                        ref_geom, restricted):
+        # the pairs computed on Y1 are the full mesh's pairs renumbered into
+        # Y1, so theta is that of the full mesh's pairs carried over to Y1
+        y1, vmap = msh.submesh(coarse_cell_mesh, msh.Y1)
+        correctors = cell.solve_correctors(y1 if restricted else coarse_cell_mesh,
+                                           ref_geom)
+        renum = np.empty(coarse_cell_mesh.n_vertices, dtype=np.int64)
+        renum[vmap] = np.arange(vmap.size)
+        carried = renum[msh.periodic_pairs(coarse_cell_mesh)]
+        for comp in correctors.components:
+            load = fem.assemble_corrector_rhs(y1, comp.direction, coeff=ref_geom.d1)
+            theta, _ = bordered_oracle(y1, ref_geom, load, carried)
+            assert np.abs(comp.theta - theta).max() <= 1e-12 * np.abs(theta).max()
+
+    def test_frame_that_does_not_pair_raises(self, ref_geom):
         mesh = msh.build_cell_mesh(ref_geom, 1.0 / 24, n_arc=64)
-        with pytest.raises(ValueError):
-            cell.solve_correctors(mesh, ref_geom)
+        squeezed = dataclasses.replace(mesh, vertices=mesh.vertices * [1.0, 0.9])
+        with pytest.raises(PeriodicityError, match="off the unit square frame"):
+            cell.solve_correctors(squeezed, ref_geom)
 
 
 class TestEffectiveTensor:

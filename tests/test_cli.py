@@ -1,5 +1,6 @@
 """CLI pipeline: config handling, artifacts, schemas, exit codes."""
 import ast
+import dataclasses
 import functools
 import importlib.util
 import json
@@ -364,6 +365,30 @@ class TestStages:
             payload["y2_measure_analytic"], rel=0.01
         )
 
+    # periodicity is the corrector's constraint, not the mesh's: the kernel
+    # stage reads a cell mesh whose frame does not pair, the tensor stage
+    # refuses it
+    def test_unpaired_msh_cell_serves_the_kernel_but_not_the_tensor(self, tmp_path,
+                                                                    capsys):
+        mesh = msh.build_cell_mesh(msh.CellGeometry(**SMALL_CONFIG["cell"]),
+                                   h=1.0 / 24, n_arc=64)
+        msh_path = tmp_path / "cell.msh"
+        write_msh(dataclasses.replace(mesh, vertices=mesh.vertices * [1.0, 0.9]),
+                  msh_path)
+        config = write_config(tmp_path)
+        sets = ["--set", 'mesh.mode="msh"', "--set", f'mesh.msh_path="{msh_path}"']
+        assert cli.main(["kernel", "--config", str(config), "--out",
+                         str(tmp_path / "kernel"), *sets,
+                         "--set", 'kernel.mesh.mode="cell"']) == 0
+        assert (tmp_path / "kernel" / "kernel.json").exists()
+        capsys.readouterr()
+        out = tmp_path / "tensor"
+        assert cli.main(["tensor", "--config", str(config), "--out", str(out),
+                         *sets]) == 2
+        assert "outer boundary vertex off the unit square frame" in (
+            capsys.readouterr().err)
+        assert not (out / "tensor.json").exists()
+
     def test_solve_consumes_explicit_artifact_paths(self, pipeline_run, tmp_path):
         config, out = pipeline_run
         out2 = tmp_path / "solve_out"
@@ -670,6 +695,28 @@ class TestExitCodes:
         assert rc == code
         assert ("macro.u0 is not finite" in capsys.readouterr().err) == (code == 2)
         assert (out2 / "summary.json").exists() == (code == 0)
+
+    # the u0 gate runs the solve stage's own load before any stage writes
+    def test_u0_not_finite_inside_the_domain_exits_2_before_any_stage(
+            self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        rc = cli.main(["pipeline", "--config", str(config), "--out", str(out),
+                       "--set", 'macro.u0={"expression": "sqrt(x1 - 0.5)"}'])
+        assert rc == 2
+        assert "macro.u0 is not finite inside the domain" in capsys.readouterr().err
+        assert not out.exists()
+
+    # infinite only on the Dirichlet boundary: accepted, and numpy's warnings
+    # of the dropped values are not printed (pytest makes them errors)
+    def test_u0_infinite_on_the_boundary_runs_silently(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        rc = cli.main(["pipeline", "--config", str(config), "--out", str(out),
+                       "--set", 'macro.u0={"expression": "log(x1)"}'])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        assert (out / "summary.json").exists()
 
     # a meta.json the run could not extend is refused before any stage runs,
     # naming the file; --force starts it afresh

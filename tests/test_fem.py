@@ -1,5 +1,4 @@
 """P1 assembly against hand-computed elements and algebraic identities."""
-import dataclasses
 
 import numpy as np
 import pytest
@@ -118,7 +117,7 @@ class TestConstraints:
         mesh = msh.build_unit_square_mesh(8)
         k = fem.assemble_stiffness(mesh, 1.0)
         b = fem.integral_weights(mesh)  # load f = 1
-        k_red, dofmap = fem.apply_constraints(mesh, k, dirichlet_tags=("outer",))
+        k_red, dofmap = fem.apply_constraints(mesh, k, dirichlet_tags=(msh.OUTER,))
         x = np.linalg.solve(k_red.toarray(), dofmap.reduce(b))
         full = dofmap.expand(x)
         # dense reference: delete rows/cols by hand
@@ -131,8 +130,9 @@ class TestConstraints:
 
     def test_periodic_folding_reduces_size(self, coarse_cell_mesh):
         k = fem.assemble_stiffness(coarse_cell_mesh, 1.0)
-        k_red, dofmap = fem.apply_constraints(coarse_cell_mesh, k)
-        n_slaves = len(coarse_cell_mesh.periodic_pairs)
+        pairs = msh.periodic_pairs(coarse_cell_mesh)
+        k_red, dofmap = fem.apply_constraints(coarse_cell_mesh, k, periodic_pairs=pairs)
+        n_slaves = len(pairs)
         assert dofmap.n_dofs == coarse_cell_mesh.n_vertices - n_slaves
         assert k_red.shape == (dofmap.n_dofs, dofmap.n_dofs)
         # folded matrix keeps the constant-vector nullspace
@@ -143,15 +143,16 @@ class TestConstraints:
     def test_expand_restrict_roundtrip(self, coarse_cell_mesh, odd):
         mesh = coarse_cell_mesh
         image = half_turn_image(mesh) if odd else None
+        pairs = msh.periodic_pairs(mesh)
         k = fem.assemble_stiffness(mesh, 1.0)
-        _, dofmap = fem.apply_constraints(mesh, k, odd_image=image)
+        _, dofmap = fem.apply_constraints(mesh, k, periodic_pairs=pairs, odd_image=image)
         x = np.sin(np.arange(dofmap.n_dofs))
         full = dofmap.expand(x)
         free = dofmap.vertex_to_dof >= 0
         back = np.empty(dofmap.n_dofs)
         back[dofmap.vertex_to_dof[free]] = (dofmap.sign * full)[free]
         assert np.array_equal(back, x)
-        for s, m in mesh.periodic_pairs:
+        for s, m in pairs:
             assert full[s] == full[m]
         # reduce is the transpose of expand: f . expand(x) == reduce(f) . x
         f = np.cos(np.arange(mesh.n_vertices))
@@ -165,39 +166,49 @@ class TestConstraints:
             assert all(i.size == 1 for i in at)
             assert (full[np.concatenate(at)] == 0.0).all()
             # four fixed periodic classes; the others pair up
-            assert 2 * dofmap.n_dofs == mesh.n_vertices - len(mesh.periodic_pairs) - 4
+            assert 2 * dofmap.n_dofs == mesh.n_vertices - len(pairs) - 4
 
     def test_odd_image_must_fold_classes_onto_classes(self):
-        mesh = msh.periodic_pairs(msh.build_unit_square_mesh(3))
+        mesh = msh.build_unit_square_mesh(3)
+        pairs = msh.periodic_pairs(mesh)
         k = fem.assemble_stiffness(mesh, 1.0)
         with pytest.raises(ValueError, match="involution"):
-            fem.apply_constraints(mesh, k, odd_image=np.roll(np.arange(16), 1))
+            fem.apply_constraints(mesh, k, periodic_pairs=pairs,
+                                  odd_image=np.roll(np.arange(16), 1))
         swap = np.arange(16)
         swap[[0, 5]] = [5, 0]  # a corner (with three slaves) and an interior vertex
         with pytest.raises(ValueError, match="periodic classes"):
-            fem.apply_constraints(mesh, k, odd_image=swap)
-        plain = msh.build_unit_square_mesh(3)
+            fem.apply_constraints(mesh, k, periodic_pairs=pairs, odd_image=swap)
         with pytest.raises(ValueError, match="Dirichlet"):
-            fem.apply_constraints(plain, k, dirichlet_tags=("outer",), odd_image=swap)
+            fem.apply_constraints(mesh, k, dirichlet_tags=(msh.OUTER,), odd_image=swap)
 
     def test_unknown_tag_rejected(self, coarse_cell_mesh):
         k = fem.assemble_stiffness(coarse_cell_mesh, 1.0)
         with pytest.raises(ValueError):
             fem.apply_constraints(coarse_cell_mesh, k, dirichlet_tags=("lid",))
 
+    # tags are the mesh's integer codes: a name, or a code no edge carries,
+    # tags nothing
+    @pytest.mark.parametrize("tags", [("outer",), ("outer", "inclusion"), (99,)])
+    def test_tag_names_and_absent_codes_tag_nothing(self, tags):
+        mesh = msh.build_unit_square_mesh(3)
+        k = fem.assemble_stiffness(mesh, 1.0)
+        with pytest.raises(ValueError, match="no boundary edges tagged"):
+            fem.apply_constraints(mesh, k, dirichlet_tags=tags)
+
     def test_chained_pairs_rejected(self):
         mesh = msh.build_unit_square_mesh(3)
         # the master of 3 -> 0 is itself the slave of 0 -> 15
-        chained = dataclasses.replace(
-            mesh, periodic_pairs=np.array([[0, 15], [3, 0]], dtype=np.int64))
         with pytest.raises(ValueError, match="slaves themselves"):
-            fem.apply_constraints(chained, fem.assemble_stiffness(mesh, 1.0))
+            fem.apply_constraints(mesh, fem.assemble_stiffness(mesh, 1.0),
+                                  periodic_pairs=np.array([[0, 15], [3, 0]]))
 
     def test_pair_on_dirichlet_vertex_rejected(self):
-        mesh = msh.periodic_pairs(msh.build_unit_square_mesh(3))
+        mesh = msh.build_unit_square_mesh(3)
         with pytest.raises(ValueError, match="Dirichlet"):
             fem.apply_constraints(mesh, fem.assemble_stiffness(mesh, 1.0),
-                                  dirichlet_tags=("outer",))
+                                  dirichlet_tags=(msh.OUTER,),
+                                  periodic_pairs=msh.periodic_pairs(mesh))
 
     def test_shape_mismatch_rejected(self):
         mesh = msh.build_unit_square_mesh(3)

@@ -31,7 +31,7 @@ def reduced_operators(mesh, tensor):
     stiff = fem.assemble_stiffness(mesh, tensor)
     mass = fem.assemble_mass(mesh)
     k_red, m_red, dofmap = fem.apply_constraints(
-        mesh, stiff, mass, dirichlet_tags=("outer",)
+        mesh, stiff, mass, dirichlet_tags=(msh.OUTER,)
     )
     return k_red.toarray(), m_red.toarray(), dofmap
 

@@ -16,7 +16,7 @@ def laplacian_system(n, dirichlet=True):
     m = fem.assemble_mass(mesh)
     if not dirichlet:
         return k, m
-    k_red, m_red, _ = fem.apply_constraints(mesh, k, m, dirichlet_tags=("outer",))
+    k_red, m_red, _ = fem.apply_constraints(mesh, k, m, dirichlet_tags=(msh.OUTER,))
     return k_red, m_red
 
 

@@ -4,7 +4,7 @@ scheme of ``homogmem.macro`` is checked against, and the scheme's own dof
 trajectory, stepped level by level."""
 import numpy as np
 
-from homogmem import fem, macro, solvers
+from homogmem import fem, macro, mesh as msh, solvers
 
 # relative residual of every reference solve, as for the scheme's solves
 _SOLVER_TOL = 1e-12
@@ -24,7 +24,7 @@ def volterra_reference(problem: macro.MacroProblem) -> np.ndarray:
     mesh = problem.mesh
     stiffness, mass, _ = fem.apply_constraints(
         mesh, fem.assemble_stiffness(mesh, problem.tensor), fem.assemble_mass(mesh),
-        dirichlet_tags=("outer",),
+        dirichlet_tags=(msh.OUTER,),
     )
     sig, tau = problem.sigma, problem.tau
     a_k, lam, r = problem.kernel.amplitudes, problem.kernel.rates, problem.kernel.remainder
