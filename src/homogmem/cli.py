@@ -255,18 +255,24 @@ def _check_config(config: dict, stages: list[str]) -> None:
             "tensor" in stages or "kernel" in stages and kc["mesh"]["mode"] == "cell"):
         meshes["mesh.h"] = (cm["h"], msh.cell_mesh_vertices(cm["h"], cm["n_arc"]))
     if "kernel" in stages and kc["mesh"]["mode"] == "inclusion":
-        # the whole inclusion: at least the dof count of its eigenproblem
+        # the whole inclusion, four quarters
         meshes["kernel.mesh.h"] = (kc["mesh"]["h"], 4 * msh.inclusion_mesh_vertices(
             config["cell"]["a"], kc["mesh"]["h"], kc["mesh"]["n_arc"]))
     if "kernel" in stages:
         if kc["m"] < 0:
             raise ValueError(f"kernel.m must be >= 0, got {kc['m']}")
-        # a cell mesh read from a file has no estimate
-        _, vertices = meshes.get("kernel.mesh.h" if kc["mesh"]["mode"] == "inclusion"
-                                 else "mesh.h", (None, None))
-        if vertices is not None and kc["m"] > vertices:
-            raise ValueError(f"kernel.m={kc['m']} exceeds the {vertices} vertices "
-                             "of the kernel mesh")
+        # the eigenproblem's dof count on the inclusion mesh; the Y2 dofs of a
+        # cell mesh are known only once it is meshed, so its vertices bound
+        # them, and a cell mesh read from a file has no estimate
+        if kc["mesh"]["mode"] == "inclusion":
+            bound = msh.inclusion_interior_vertices(
+                config["cell"]["a"], kc["mesh"]["h"], kc["mesh"]["n_arc"])
+            what = "dofs of the inclusion eigenproblem"
+        else:
+            bound = meshes.get("mesh.h", (None, None))[1]
+            what = "vertices of the kernel mesh"
+        if bound is not None and kc["m"] > bound:
+            raise ValueError(f"kernel.m={kc['m']} exceeds the {bound} {what}")
         if not kc["epsilon"] >= 0.0:
             raise ValueError(f"kernel.epsilon must be >= 0, got {kc['epsilon']}")
     if "solve" in stages:

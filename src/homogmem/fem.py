@@ -4,12 +4,12 @@ Stiffness, mass, and corrector right-hand sides are assembled over every
 triangle of the mesh they are given (callers pass the Y1 or Y2 submesh)
 with exact per-element integration from the mesh's own ``areas`` and
 constant ``gradients`` (the mass element is the standard area/12 matrix);
-nodal loads are gathered by ``nodal_sum``, the bincount rule of
-``DofMap.reduce``.  Constraint application folds periodic slaves onto
-their masters, eliminates homogeneous Dirichlet rows/columns and, given a
-vertex involution, restricts the system to the fields that are odd under
-it; it returns a DofMap, which is the one way load vectors are reduced
-onto the constrained system.  A pure-Neumann problem folded only
+nodal loads are gathered per vertex by ``nodal_sum``.  Constraint
+application folds periodic slaves onto their masters, eliminates
+homogeneous Dirichlet rows/columns and, given a vertex involution,
+restricts the system to the fields that are odd under it; it returns a
+DofMap, the one projection P that reduces matrices (P'AP), loads (P'f)
+and expands solutions (Px).  A pure-Neumann problem folded only
 periodically keeps its constant nullspace here, and the odd fold removes
 it (a constant is even); ``cell.solve_correctors`` picks the fold.
 """
@@ -27,36 +27,25 @@ _MASS_ELEMENT = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 
 
 @dataclass(frozen=True)
 class DofMap:
-    """Vertex-to-dof bookkeeping produced by apply_constraints.
+    """The constraint map of apply_constraints, the sparse (n_vertices x
+    n_dofs) projection ``proj``: 1 at the dof of a retained vertex or of a
+    periodic slave's master, -1 at an odd image's, an empty row for an
+    eliminated vertex.  ``expand`` is proj x and ``reduce``, its transpose,
+    proj' f, which folds loads as apply_constraints folds matrices."""
 
-    Vertex v holds ``sign[v] * x[vertex_to_dof[v]]``.  A retained vertex and
-    a periodic slave (mapped to its master's dof) have sign 1, the odd image
-    of a retained vertex has sign -1, and an eliminated vertex has sign 0
-    and dof -1.  ``reduce`` takes nodal loads onto the system and ``expand``
-    takes a solution back to the vertices.
-    """
+    proj: sp.csr_matrix
 
-    vertex_to_dof: np.ndarray
-    n_dofs: int
-    sign: np.ndarray
+    @property
+    def n_dofs(self) -> int:
+        return self.proj.shape[1]
 
     def expand(self, x: np.ndarray) -> np.ndarray:
         """Nodal values on all mesh vertices (zeros on eliminated vertices)."""
-        full = np.zeros(self.vertex_to_dof.shape[0])
-        free = self.vertex_to_dof >= 0
-        full[free] = self.sign[free] * x[self.vertex_to_dof[free]]
-        return full
+        return self.proj @ x
 
     def reduce(self, full: np.ndarray) -> np.ndarray:
-        """Load vector folded onto the system: slave entries add into their
-        masters, odd images subtract, eliminated entries drop.
-
-        This is the transpose of ``expand``, so a load reduced here matches
-        matrices reduced by apply_constraints."""
-        free = self.vertex_to_dof >= 0
-        return np.bincount(self.vertex_to_dof[free],
-                           weights=self.sign[free] * full[free],
-                           minlength=self.n_dofs)
+        """Load vector folded onto the system, the transpose of ``expand``."""
+        return self.proj.T @ full
 
 
 def _coefficient_tensor(coeff) -> np.ndarray:
@@ -128,7 +117,8 @@ def integral_weights(mesh: TriMesh) -> np.ndarray:
 
 def nodal_sum(mesh: TriMesh, contrib: np.ndarray) -> np.ndarray:
     """Per vertex, the sum of the per-corner ``contrib`` ((nt, 3), or flat
-    in that order) of the triangles at it, added in input order."""
+    in that order) of the triangles at it, added in input order; a
+    DofMap's ``reduce`` folds the result onto a constrained system."""
     return np.bincount(mesh.triangles.ravel(), weights=contrib.ravel(),
                        minlength=mesh.n_vertices)
 
@@ -149,8 +139,8 @@ def apply_constraints(mesh: TriMesh, *matrices: sp.spmatrix, dirichlet_tags=(),
     restricts the system to fields u with u[odd_image] = -u: of two classes
     it swaps, the one with the lower master keeps the dof and the other
     folds onto it with sign -1, and a class it fixes is eliminated.
-    Returns the reduced matrices in order, then the DofMap whose ``reduce``
-    folds load vectors onto the same system.
+    Returns the reduced matrices in order, then the DofMap of the projection
+    that reduced them.
     """
     nv = mesh.n_vertices
     if any(a.shape != (nv, nv) for a in matrices):
@@ -195,16 +185,11 @@ def apply_constraints(mesh: TriMesh, *matrices: sp.spmatrix, dirichlet_tags=(),
         rep = np.minimum(rep, partner)
 
     keep = (sign != 0.0) & (rep == np.arange(nv))
-    n_dofs = int(keep.sum())
-    dof_of = -np.ones(nv, dtype=np.int64)
-    dof_of[keep] = np.arange(n_dofs)
-    vertex_to_dof = np.where(sign != 0.0, dof_of[rep], -1)
-
-    rows = np.nonzero(vertex_to_dof >= 0)[0]
-    proj = sp.coo_matrix(
-        (sign[rows], (rows, vertex_to_dof[rows])), shape=(nv, n_dofs)
-    ).tocsr()
+    dof_of = np.cumsum(keep) - 1
+    rows = np.flatnonzero(sign)
+    proj = sp.csr_matrix((sign[rows], (rows, dof_of[rep[rows]])),
+                         shape=(nv, int(keep.sum())))
     reduced = [(proj.T @ a @ proj).tocsr() for a in matrices]
     for a in reduced:
         a.sort_indices()
-    return (*reduced, DofMap(vertex_to_dof=vertex_to_dof, n_dofs=n_dofs, sign=sign))
+    return (*reduced, DofMap(proj))

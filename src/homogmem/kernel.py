@@ -68,46 +68,9 @@ def _symmetry_classes(y2: TriMesh) -> list[tuple[tuple[int, ...], tuple[int, ...
     return classes
 
 
-def build_kernel(cell: TriMesh, geom: CellGeometry | None, m: int,
-                 d2: float | None = None) -> KernelApproximation:
-    """Assemble the raw m-term kernel from the inclusion eigenproblem.
-
-    ``cell`` may be a full labeled cell mesh, one already restricted to Y2,
-    or the quarter inclusion of ``mesh.build_inclusion_mesh``.  The Dirichlet
-    condition is applied on the boundary of the Y2 submesh; on a mesh cut
-    along the ellipse axes (tagged MAJOR_AXIS/MINOR_AXIS) the eigenproblem of
-    the whole inclusion splits into one problem per symmetry class (Klein
-    four-group for two axes), and the raw kernel keeps the lowest ``m``
-    eigenvalues over all classes.  Only the class even across every axis has
-    modes of nonzero mean; the others get amplitude exactly 0.  ``d2``
-    defaults to the geometry's inclusion coefficient.
-    """
-    if m < 0:
-        raise ValueError(f"term count must be >= 0, got {m}")
-    if d2 is None:
-        d2 = geom.d2 if geom is not None else 1.0
-    y2, _ = msh.submesh(cell, msh.Y2)
-    classes = _symmetry_classes(y2)
-    # each axis cut halves the inclusion and doubles the classes
-    copies = len(classes)
-    measure = copies * float(y2.areas.sum())
-    if not 0.0 < measure < 1.0:
-        raise ValueError(f"inclusion measure {measure} must lie in (0, 1)")
-    prefactor = 1.0 / (1.0 - measure)
-    analytic = geom.inclusion_measure if geom is not None else None
-
-    if m == 0:
-        return KernelApproximation(
-            amplitudes=np.zeros(0),
-            rates=np.zeros(0),
-            remainder=prefactor * measure,
-            remainder_raw=prefactor * measure,
-            y2_measure=measure,
-            raw_count=0,
-            kept_count=0,
-            y2_measure_analytic=analytic,
-        )
-
+def _lowest_modes(y2: TriMesh, classes, m: int,
+                  d2: float) -> tuple[np.ndarray, np.ndarray]:
+    """The ``m`` lowest eigenvalues over the ``classes``, and their modes' means."""
     stiff = fem.assemble_stiffness(y2, d2)
     mass = fem.assemble_mass(y2)
     blocks = []
@@ -142,6 +105,7 @@ def build_kernel(cell: TriMesh, geom: CellGeometry | None, m: int,
     # an M-normalised even mode of the cut mesh extends by reflection to a
     # mode of the whole inclusion with M-norm sqrt(copies) and copies times
     # the mean, so its normalised mean is sqrt(copies) times the cut mean
+    copies = len(classes)
     weights = fem.integral_weights(y2)
     means = np.concatenate([
         np.zeros(p.count) if odd
@@ -149,8 +113,38 @@ def build_kernel(cell: TriMesh, geom: CellGeometry | None, m: int,
         for p, (_, _, dofmap, odd) in zip(pairs, blocks)
     ])
     order = np.argsort(values, kind="stable")[:m]
-    rates = values[order]
-    means = means[order]
+    return values[order], means[order]
+
+
+def build_kernel(cell: TriMesh, geom: CellGeometry | None, m: int,
+                 d2: float | None = None) -> KernelApproximation:
+    """Assemble the raw m-term kernel from the inclusion eigenproblem.
+
+    ``cell`` may be a full labeled cell mesh, one already restricted to Y2,
+    or the quarter inclusion of ``mesh.build_inclusion_mesh``.  The Dirichlet
+    condition is applied on the boundary of the Y2 submesh; on a mesh cut
+    along the ellipse axes (tagged MAJOR_AXIS/MINOR_AXIS) the eigenproblem of
+    the whole inclusion splits into one problem per symmetry class (Klein
+    four-group for two axes), and the raw kernel keeps the lowest ``m``
+    eigenvalues over all classes.  Only the class even across every axis has
+    modes of nonzero mean; the others get amplitude exactly 0.  ``d2``
+    defaults to the geometry's inclusion coefficient.
+    """
+    if m < 0:
+        raise ValueError(f"term count must be >= 0, got {m}")
+    if d2 is None:
+        d2 = geom.d2 if geom is not None else 1.0
+    y2, _ = msh.submesh(cell, msh.Y2)
+    classes = _symmetry_classes(y2)
+    # each axis cut halves the inclusion and doubles the classes
+    copies = len(classes)
+    measure = copies * float(y2.areas.sum())
+    if not 0.0 < measure < 1.0:
+        raise ValueError(f"inclusion measure {measure} must lie in (0, 1)")
+    prefactor = 1.0 / (1.0 - measure)
+    analytic = geom.inclusion_measure if geom is not None else None
+    rates, means = (_lowest_modes(y2, classes, m, d2) if m
+                    else (np.zeros(0), np.zeros(0)))
     amplitudes = prefactor * means**2 * rates
     captured = float((means**2).sum())
     raw_remainder = prefactor * (measure - captured)

@@ -456,6 +456,18 @@ def inclusion_mesh_vertices(a: float, h: float, n_arc: int) -> int:
     return _quarter_vertex_count(_ring_count(a, h), n_arc // 4)
 
 
+def inclusion_interior_vertices(a: float, h: float, n_arc: int) -> int:
+    """Dofs of the kernel's Dirichlet eigenproblem on
+    ``build_inclusion_mesh(geom, h, n_arc)`` for a ``geom`` with major
+    semi-axis ``a``, summed over its symmetry classes: the whole
+    inclusion's vertices off its arc.  Those are the centre and, per
+    quarter, the vertices off the centre, off one axis side (the
+    neighbouring quarter counts it) and off the n_arc/4 arc vertices not
+    on that side."""
+    quarter = inclusion_mesh_vertices(a, h, n_arc)
+    return 1 + 4 * (quarter - 1 - _ring_count(a, h) - n_arc // 4)
+
+
 def _ring_segments(j, nr: int, quarter_arc: int) -> np.ndarray:
     """Arc segments of ring ``j`` (radius j/nr) of the quarter unit disk."""
     return np.maximum(1, np.round(quarter_arc * (np.asarray(j) / nr))).astype(np.int64)

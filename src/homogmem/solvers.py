@@ -14,8 +14,7 @@ the unfolded periodic system.
 
 Smallest eigenpairs of K phi = lambda M phi come from shift-invert ARPACK
 at shift 0 with the same factor of K as its inverse operator (dense LAPACK
-for small systems or large counts), with deterministic start vectors and a
-sign convention of nonnegative mean.
+for small systems or large counts), with deterministic start vectors.
 """
 from __future__ import annotations
 
@@ -117,20 +116,6 @@ def solve_spd(a: sp.spmatrix, b: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return x
 
 
-def _fix_signs(vectors: np.ndarray, m_weights: np.ndarray) -> np.ndarray:
-    """Make each column's integral nonnegative (largest entry breaks ties)."""
-    means = vectors.T @ m_weights
-    out = vectors.copy()
-    for k, mean in enumerate(means):
-        if abs(mean) > 1e-12:
-            sign = np.sign(mean)
-        else:
-            lead = np.argmax(np.abs(out[:, k]))
-            sign = np.sign(out[lead, k]) or 1.0
-        out[:, k] *= sign
-    return out
-
-
 def smallest_eigenpairs(k: sp.spmatrix, m: sp.spmatrix, count: int,
                         tol: float = 1e-8) -> EigenPairs:
     """Lowest ``count`` eigenpairs of K v = lambda M v, M-orthonormal."""
@@ -162,9 +147,6 @@ def smallest_eigenpairs(k: sp.spmatrix, m: sp.spmatrix, count: int,
         order = np.argsort(values)
         values = values[order]
         vectors = vectors[:, order]
-
-    weights = m @ np.ones(n)
-    vectors = _fix_signs(vectors, weights)
 
     kv = k @ vectors
     mv = m @ vectors

@@ -520,19 +520,44 @@ class TestExitCodes:
             **SMALL_CONFIG["kernel"],
             "mesh": {**SMALL_CONFIG["kernel"]["mesh"], "mode": kernel_mesh}}}
         config = write_config(tmp_path, payload)
-        # the meshers' own size functions; the inclusion bound is the whole
-        # inclusion, four quarters
+        # the meshers' own size functions: the inclusion bound is the dof
+        # count of its eigenproblem, the cell bound the mesh's vertices
         cm, km = SMALL_CONFIG["mesh"], SMALL_CONFIG["kernel"]["mesh"]
-        vertices = (4 * msh.inclusion_mesh_vertices(SMALL_CONFIG["cell"]["a"],
-                                                    km["h"], km["n_arc"])
-                    if kernel_mesh == "inclusion"
-                    else msh.cell_mesh_vertices(cm["h"], cm["n_arc"]))
+        bound, what = ((msh.inclusion_interior_vertices(SMALL_CONFIG["cell"]["a"],
+                                                        km["h"], km["n_arc"]),
+                        "dofs of the inclusion eigenproblem")
+                       if kernel_mesh == "inclusion"
+                       else (msh.cell_mesh_vertices(cm["h"], cm["n_arc"]),
+                             "vertices of the kernel mesh"))
         out = tmp_path / "out"
         rc = cli.main(["pipeline", "--config", str(config), "--out", str(out),
-                       "--set", f"kernel.m={vertices + 1}"])
+                       "--set", f"kernel.m={bound + 1}"])
         assert rc == 2
-        assert f"exceeds the {vertices} vertices" in capsys.readouterr().err
+        assert f"exceeds the {bound} {what}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_inclusion_kernel_m_above_its_dofs_exits_2_before_any_stage(
+            self, tmp_path, capsys):
+        # four quarters' vertices bound the whole inclusion's, but those on
+        # its arc are Dirichlet and shared axis vertices count once
+        km = SMALL_CONFIG["kernel"]["mesh"]
+        loose = 4 * msh.inclusion_mesh_vertices(SMALL_CONFIG["cell"]["a"],
+                                                km["h"], km["n_arc"])
+        out = tmp_path / "out"
+        rc = cli.main(["pipeline", "--config", str(write_config(tmp_path)),
+                       "--out", str(out), "--set", f"kernel.m={loose}"])
+        assert rc == 2
+        assert "dofs of the inclusion eigenproblem" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_inclusion_kernel_m_at_its_dofs_passes_the_gate(self):
+        km = SMALL_CONFIG["kernel"]["mesh"]
+        dofs = msh.inclusion_interior_vertices(SMALL_CONFIG["cell"]["a"],
+                                               km["h"], km["n_arc"])
+        config = cli._merge(cli.DEFAULT_CONFIG,
+                            {**SMALL_CONFIG, "kernel": {**SMALL_CONFIG["kernel"],
+                                                        "m": dofs}})
+        cli._check_config(config, ["kernel"])
 
     @pytest.mark.parametrize("workload", ["default", "cell-fine", "macro-fine"])
     def test_benchmark_meshes_pass_the_size_gate(self, workload):

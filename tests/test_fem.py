@@ -148,9 +148,10 @@ class TestConstraints:
         _, dofmap = fem.apply_constraints(mesh, k, periodic_pairs=pairs, odd_image=image)
         x = np.sin(np.arange(dofmap.n_dofs))
         full = dofmap.expand(x)
-        free = dofmap.vertex_to_dof >= 0
-        back = np.empty(dofmap.n_dofs)
-        back[dofmap.vertex_to_dof[free]] = (dofmap.sign * full)[free]
+        # restrict through each dof's first vertex entry, of sign +-1
+        by_dof = dofmap.proj.tocsc()
+        first = by_dof.indptr[:-1]
+        back = by_dof.data[first] * full[by_dof.indices[first]]
         assert np.array_equal(back, x)
         for s, m in pairs:
             assert full[s] == full[m]

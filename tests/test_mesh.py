@@ -544,6 +544,23 @@ class TestInclusionMesh:
         exact = 0.125 * n_arc * math.sin(2 * math.pi / n_arc) * geom.a * geom.b
         assert quarter.areas.sum() == pytest.approx(exact, rel=1e-12)
 
+    @pytest.mark.parametrize("h, n_arc", [
+        (1.0 / 24, 64), (1.0 / 24, 32), (1.0 / 40, 8), (0.0125, 192), (0.05, 400),
+    ])
+    def test_interior_count_is_the_eigenproblem_dofs(self, h, n_arc):
+        geom = msh.CellGeometry(a=0.3, b=0.15, angle_deg=20.0)
+        count = msh.inclusion_interior_vertices(geom.a, h, n_arc)
+        (whole,) = fem.apply_constraints(full_inclusion(geom, h, n_arc),
+                                         dirichlet_tags=(msh.INCLUSION,))
+        assert whole.n_dofs == count
+        # the symmetry classes the kernel solves on the quarter split them
+        quarter = msh.build_inclusion_mesh(geom, h, n_arc=n_arc)
+        tags = [(msh.INCLUSION, *odd) for odd in
+                ((), (msh.MAJOR_AXIS,), (msh.MINOR_AXIS,),
+                 (msh.MAJOR_AXIS, msh.MINOR_AXIS))]
+        assert sum(fem.apply_constraints(quarter, dirichlet_tags=t)[0].n_dofs
+                   for t in tags) == count
+
     def test_vertex_count_without_ring_arrays(self):
         for quarter_arc in (2, 3, 16, 17, 96):
             for nr in (2, 3, 31, 32, 33, 64, 100, 1000, 1024):
