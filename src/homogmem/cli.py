@@ -248,22 +248,27 @@ def _check_config(config: dict, stages: list[str]) -> None:
     if "tensor" in stages or "kernel" in stages:
         geom = msh.CellGeometry(**config["cell"])
     cm, kc = config["mesh"], config["kernel"]
-    # setting -> (its value, vertex estimate) of every mesh the stages build,
-    # from the meshers' own size functions, which also check their arguments
+    # the settings -> the vertex estimate of every mesh the stages build, from
+    # the meshers' own size functions, which also check their arguments
     meshes = {}
     if cm["mode"] == "builtin" and (
             "tensor" in stages or "kernel" in stages and kc["mesh"]["mode"] == "cell"):
-        meshes["mesh.h"] = (cm["h"], msh.cell_mesh_vertices(cm["h"], cm["n_arc"]))
+        vertices = msh.cell_mesh_vertices(cm["h"], cm["n_arc"])
+        meshes["at mesh.n_arc={n_arc}, mesh.h={h}".format(**cm)] = vertices
     if "kernel" in stages and kc["mesh"]["mode"] == "inclusion":
-        # the whole inclusion's arc alone has n_arc vertices; its count
-        # takes memory in n_arc, so a larger n_arc is refused before it
-        if kc["mesh"]["n_arc"] > _MAX_VERTICES:
-            raise ValueError(f"kernel.mesh.n_arc={kc['mesh']['n_arc']} gives more "
-                             "mesh vertices than a sparse factor can index "
-                             f"({_MAX_VERTICES})")
+        # the whole inclusion's arc alone has n_arc vertices, and its major
+        # semi-axis a/h rings; its count takes memory in n_arc and integers
+        # in a/h, so either above the bound is refused before it
+        km, a = kc["mesh"], config["cell"]["a"]
+        for setting, least in (("n_arc", km["n_arc"]),
+                               ("h", a / km["h"] if km["h"] > 0.0 else 0.0)):
+            if least > _MAX_VERTICES:
+                raise ValueError(f"kernel.mesh.{setting}={km[setting]} gives more mesh "
+                                 "vertices than a sparse factor can index "
+                                 f"({_MAX_VERTICES})")
         # the whole inclusion, four quarters
-        meshes["kernel.mesh.h"] = (kc["mesh"]["h"], 4 * msh.inclusion_mesh_vertices(
-            config["cell"]["a"], kc["mesh"]["h"], kc["mesh"]["n_arc"]))
+        vertices = 4 * msh.inclusion_mesh_vertices(a, km["h"], km["n_arc"])
+        meshes["at kernel.mesh.n_arc={n_arc}, kernel.mesh.h={h}".format(**km)] = vertices
     if "kernel" in stages:
         if kc["m"] < 0:
             raise ValueError(f"kernel.m must be >= 0, got {kc['m']}")
@@ -276,10 +281,10 @@ def _check_config(config: dict, stages: list[str]) -> None:
                               mac["snapshot_times"])
         if mac["n"] < 1:
             raise ValueError(f"macro.n must be >= 1, got {mac['n']}")
-        meshes["macro.n"] = (mac["n"], (mac["n"] + 1) ** 2)
-    for key, (value, vertices) in meshes.items():
+        meshes[f"macro.n={mac['n']}"] = (mac["n"] + 1) ** 2
+    for setting, vertices in meshes.items():
         if vertices > _MAX_VERTICES:
-            raise ValueError(f"{key}={value} gives more mesh vertices ({vertices}) "
+            raise ValueError(f"{setting} gives more mesh vertices ({vertices}) "
                              f"than a sparse factor can index ({_MAX_VERTICES})")
     if "kernel" in stages:
         # the exact dof count of the kernel's eigenproblem: on the inclusion

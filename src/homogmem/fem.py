@@ -3,15 +3,18 @@
 Stiffness, mass, and corrector right-hand sides are assembled over every
 triangle of the mesh they are given (callers pass the Y1 or Y2 submesh)
 with exact per-element integration from the mesh's own ``areas`` and
-constant ``gradients`` (the mass element is the standard area/12 matrix);
-nodal loads are gathered per vertex by ``nodal_sum``.  Constraint
-application folds periodic slaves onto their masters, eliminates
-homogeneous Dirichlet rows/columns and, given a vertex involution,
-restricts the system to the fields that are odd under it; it returns a
-DofMap, the one projection P that reduces matrices (P'AP), loads (P'f)
-and expands solutions (Px).  A pure-Neumann problem folded only
-periodically keeps its constant nullspace here, and the odd fold removes
-it (a constant is even); ``cell.solve_correctors`` picks the fold.
+constant ``gradients`` (the mass element is the standard area/12 matrix).
+Element matrices are summed onto the mesh's cached ``p1_pattern`` by one
+bincount, so K and M on one mesh share a pattern built once from the edge
+incidence, which a submesh inherits from its parent; nodal loads are
+gathered per vertex by ``nodal_sum``.  Constraint application folds
+periodic slaves onto their masters, eliminates homogeneous Dirichlet
+rows/columns and, given a vertex involution, restricts the system to the
+fields that are odd under it; it returns a DofMap, the one projection P
+that reduces matrices (P'AP), loads (P'f) and expands solutions (Px).  A
+pure-Neumann problem folded only periodically keeps its constant
+nullspace here, and the odd fold removes it (a constant is even);
+``cell.solve_correctors`` picks the fold.
 """
 from __future__ import annotations
 
@@ -68,13 +71,10 @@ def _coefficient_tensor(coeff) -> np.ndarray:
 
 
 def _scatter(mesh: TriMesh, element: np.ndarray) -> sp.csr_matrix:
-    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
-    cols = np.tile(mesh.triangles, 3).ravel()
-    a = sp.coo_matrix(
-        (element.ravel(), (rows, cols)), shape=(mesh.n_vertices, mesh.n_vertices)
-    ).tocsr()
-    a.sort_indices()
-    return a
+    """The (nt, 3, 3) element matrices summed onto the mesh's P1 pattern."""
+    indptr, indices, slots = mesh.p1_pattern
+    return sp.csr_matrix((np.bincount(slots, weights=element.ravel()), indices, indptr),
+                         shape=(mesh.n_vertices, mesh.n_vertices))
 
 
 def assemble_stiffness(mesh: TriMesh, coeff) -> sp.csr_matrix:
@@ -85,7 +85,7 @@ def assemble_stiffness(mesh: TriMesh, coeff) -> sp.csr_matrix:
     """
     d = _coefficient_tensor(coeff)
     grads = mesh.gradients
-    element = np.einsum("tia,ab,tjb->tij", grads, d, grads) * mesh.areas[:, None, None]
+    element = ((grads @ d) @ grads.transpose(0, 2, 1)) * mesh.areas[:, None, None]
     return _scatter(mesh, element)
 
 

@@ -7,7 +7,10 @@ are mesh edges, and keeps the square-edge vertex layout mirror-identical on
 opposite sides so that ``periodic_pairs`` matches them by coordinates.
 Each mesh fact has one home: a mesher's size function is also its argument
 check, ``submesh`` is the one restriction to a subdomain (a no-op on a mesh
-already restricted), and a TriMesh caches its areas and P1 gradients.
+already restricted), and a TriMesh caches its areas, P1 gradients, edge
+incidence and P1 matrix pattern.  Each is computed once per mesh: the
+meshers hand over the incidence and areas they computed, and ``submesh``
+restricts its parent's instead of sorting the edges again.
 """
 from __future__ import annotations
 
@@ -76,10 +79,53 @@ class TriMesh:
     def n_triangles(self) -> int:
         return self.triangles.shape[0]
 
+    @classmethod
+    def _with_facts(cls, *fields, **facts) -> TriMesh:
+        """The mesh of ``fields`` whose cached properties named in ``facts``
+        (``edge_incidence``, ``areas``) hold the values its maker computed."""
+        mesh = cls(*fields)
+        mesh.__dict__.update(facts)
+        return mesh
+
     @cached_property
     def areas(self) -> np.ndarray:
         """Signed triangle areas (positive for valid meshes)."""
         return _signed_areas(self.vertices[self.triangles])
+
+    @cached_property
+    def edge_incidence(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``_edge_incidence(self.triangles)``: unique edges, per-slot
+        inverse map and multiplicities."""
+        return _edge_incidence(self.triangles)
+
+    @cached_property
+    def p1_pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(indptr, indices, slots)``: the sorted CSR pattern of the P1
+        matrices, and the position in it of each entry (t, i, j) of a raveled
+        (nt, 3, 3) stack of element matrices.  The unique edges are its upper
+        triangle in order; a stable sort by their higher end orders the lower."""
+        uniq, inverse, _ = self.edge_incidence
+        lo, hi = uniq.T
+        n_up = np.bincount(lo, minlength=self.n_vertices)
+        n_low = np.bincount(hi, minlength=self.n_vertices)
+        diag = (n_up + n_low) > 0
+        indptr = np.concatenate([[0], np.cumsum(n_low + diag + n_up)])
+        at_diag = indptr[:-1] + n_low
+        edge = np.arange(uniq.shape[0])
+        by_hi = np.argsort(hi, kind="stable")
+        lower = np.empty_like(edge)
+        lower[by_hi] = edge + (indptr[:-1] - np.cumsum(n_low) + n_low)[hi[by_hi]]
+        upper = edge + (at_diag + 1 - np.cumsum(n_up) + n_up)[lo]
+        indices = np.empty(indptr[-1], dtype=np.int64)
+        indices[lower], indices[upper] = lo, hi
+        indices[at_diag[diag]] = np.flatnonzero(diag)
+        # the edge of corner pair (i, j): slots (0, 1), (1, 2), (2, 0) in turn
+        tri = self.triangles
+        pair = inverse.reshape(3, -1).T[:, [[0, 0, 2], [0, 1, 1], [2, 1, 2]]]
+        slots = np.concatenate([lower, upper])[pair + edge.size * (tri[:, :, None]
+                                                                  < tri[:, None, :])]
+        slots[:, [0, 1, 2], [0, 1, 2]] = at_diag[tri]
+        return indptr, indices, slots.ravel()
 
     @cached_property
     def gradients(self) -> np.ndarray:
@@ -243,14 +289,10 @@ def build_unit_square_mesh(n: int, label: int = OMEGA) -> TriMesh:
     vertices = np.column_stack([xg.ravel(), yg.ravel()])
     triangles = _grid_halves(np.arange(n * n), n, np.arange((n + 1) ** 2))
     subdomain = np.full(triangles.shape[0], label, dtype=int)
-    boundary_edges, boundary_tags = _tag_edges(*_edge_incidence(triangles), subdomain)
-    return TriMesh(
-        vertices=vertices,
-        triangles=triangles,
-        subdomain=subdomain,
-        boundary_edges=boundary_edges,
-        boundary_tags=boundary_tags,
-    )
+    incidence = _edge_incidence(triangles)
+    return TriMesh._with_facts(vertices, triangles, subdomain,
+                               *_tag_edges(*incidence, subdomain),
+                               edge_incidence=incidence)
 
 
 def _segment_gaps(points: np.ndarray, a: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -417,13 +459,8 @@ def build_cell_mesh(geom: CellGeometry, h: float, n_arc: int = 128) -> TriMesh:
     if not (sides[ends[:, 0]] & sides[ends[:, 1]]).any(axis=1).all():
         raise GeometryError("open boundary edge off the unit square frame")
 
-    return TriMesh(
-        vertices=points,
-        triangles=triangles,
-        subdomain=subdomain,
-        boundary_edges=boundary_edges,
-        boundary_tags=boundary_tags,
-    )
+    return TriMesh._with_facts(points, triangles, subdomain, boundary_edges,
+                               boundary_tags, edge_incidence=incidence, areas=areas)
 
 
 def _grid_count(h: float) -> int:
@@ -532,7 +569,8 @@ def build_inclusion_mesh(geom: CellGeometry, h: float, n_arc: int = 256) -> TriM
     if areas.min() <= 1e-14:
         raise GeometryError("triangulation produced a degenerate triangle")
 
-    uniq, _, counts = _edge_incidence(triangles)
+    incidence = _edge_incidence(triangles)
+    uniq, _, counts = incidence
     boundary_edges = uniq[counts == 1]
     ends = local[boundary_edges]
     boundary_tags = np.select(
@@ -548,13 +586,10 @@ def build_inclusion_mesh(geom: CellGeometry, h: float, n_arc: int = 256) -> TriM
     if abs(float(areas.sum()) - quarter_area) > 1e-10 * quarter_area:
         raise GeometryError("inclusion mesh area mismatch")
 
-    return TriMesh(
-        vertices=points,
-        triangles=triangles,
-        subdomain=np.full(triangles.shape[0], Y2, dtype=np.int64),
-        boundary_edges=boundary_edges,
-        boundary_tags=boundary_tags,
-    )
+    return TriMesh._with_facts(points, triangles,
+                               np.full(triangles.shape[0], Y2, dtype=np.int64),
+                               boundary_edges, boundary_tags,
+                               edge_incidence=incidence, areas=areas)
 
 
 def periodic_pairs(mesh: TriMesh) -> np.ndarray:
@@ -596,7 +631,9 @@ def submesh(mesh: TriMesh, label: int) -> tuple[TriMesh, np.ndarray]:
     Returns the renumbered submesh and the map from its vertex indices back
     to the parent mesh.  Parent boundary tags are kept where they apply.
     A mesh whose every triangle carries the label is already restricted:
-    it is returned itself, with the identity map.
+    it is returned itself, with the identity map.  The submesh inherits the
+    parent's areas and edge incidence, restricted: the renumbering keeps
+    the vertex order, so the parent's used edges stay in key order.
     """
     keep = mesh.subdomain == label
     if not keep.any():
@@ -604,31 +641,31 @@ def submesh(mesh: TriMesh, label: int) -> tuple[TriMesh, np.ndarray]:
     if keep.all():
         return mesh, np.arange(mesh.n_vertices)
     tris = mesh.triangles[keep]
-    vmap = np.unique(tris)
-    renum = -np.ones(mesh.n_vertices, dtype=np.int64)
-    renum[vmap] = np.arange(vmap.size)
-    new_tris = renum[tris]
-
     nv = mesh.n_vertices
+    used = np.zeros(nv, dtype=bool)
+    used[tris] = True
+    vmap = np.flatnonzero(used)
+    renum = np.cumsum(used) - 1
+
+    uniq, inverse, _ = mesh.edge_incidence
+    slot_edges = inverse.reshape(3, -1)[:, keep].ravel()
+    counts = np.bincount(slot_edges, minlength=uniq.shape[0])
+    kept = counts > 0
+    uniq, counts = uniq[kept], counts[kept]
+    incidence = (renum[uniq], (np.cumsum(kept) - 1)[slot_edges], counts)
     parent_keys = _edge_keys(mesh.boundary_edges, nv)
     order = np.argsort(parent_keys, kind="stable")
     parent_keys = parent_keys[order]
-    uniq, _, counts = _edge_incidence(new_tris)
-    open_edges = uniq[counts == 1]
     # a parent edge listed twice keeps its last tag, as a dict would
-    query = _edge_keys(vmap[open_edges], nv)
+    query = _edge_keys(uniq[counts == 1], nv)
     pos = np.searchsorted(parent_keys, query, side="right") - 1
     found = pos >= 0
     found[found] = parent_keys[pos[found]] == query[found]
     tags = np.full(query.size, OUTER, dtype=int)
     tags[found] = mesh.boundary_tags[order[pos[found]]]
-    sub = TriMesh(
-        vertices=mesh.vertices[vmap],
-        triangles=new_tris,
-        subdomain=mesh.subdomain[keep],
-        boundary_edges=open_edges,
-        boundary_tags=tags,
-    )
+    sub = TriMesh._with_facts(mesh.vertices[vmap], renum[tris], mesh.subdomain[keep],
+                              incidence[0][counts == 1], tags,
+                              edge_incidence=incidence, areas=mesh.areas[keep])
     return sub, vmap
 
 
@@ -636,7 +673,7 @@ def validate_mesh(mesh: TriMesh) -> None:
     """Check orientation, conformity, boundary edges and subdomain labels."""
     if not mesh.areas.min() > 0.0:  # also catches NaN
         raise ValueError("mesh has a non-positively-oriented triangle")
-    uniq, _, counts = _edge_incidence(mesh.triangles)
+    uniq, _, counts = mesh.edge_incidence
     if counts.max() > 2:
         raise ValueError("non-conforming mesh: edge shared by >2 triangles")
     nv = 1 + max(int(mesh.triangles.max()), int(mesh.boundary_edges.max(initial=0)))
@@ -774,11 +811,7 @@ def read_msh(path, subdomain_map: dict[int, str] | None = None) -> TriMesh:
     turn = np.bincount(subdomain, weights=_signed_areas(coords[triangles]))
     flip = turn[subdomain] < 0.0
     triangles[flip] = triangles[flip][:, [0, 2, 1]]
-    boundary_edges, boundary_tags = _tag_edges(*_edge_incidence(triangles), subdomain)
-    return TriMesh(
-        vertices=coords,
-        triangles=triangles,
-        subdomain=subdomain,
-        boundary_edges=boundary_edges,
-        boundary_tags=boundary_tags,
-    )
+    incidence = _edge_incidence(triangles)
+    return TriMesh._with_facts(coords, triangles, subdomain,
+                               *_tag_edges(*incidence, subdomain),
+                               edge_incidence=incidence)

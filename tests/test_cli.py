@@ -489,6 +489,11 @@ class TestExitCodes:
         ("macro.n=100000000", "macro.n=100000000 gives more mesh vertices"),
         ("kernel.mesh.h=1e-7", "kernel.mesh.h=1e-07 gives more mesh vertices"),
         ("mesh.h=1e-5", "mesh.h=1e-05 gives more mesh vertices"),
+        # counts the arcs put above the bound name them too
+        ("mesh.n_arc=400000000", f"at mesh.n_arc=400000000, mesh.h={1.0 / 24} "
+         "gives more mesh vertices (400000625)"),
+        ("kernel.mesh.n_arc=10000000", "at kernel.mesh.n_arc=10000000, "
+         f"kernel.mesh.h={1.0 / 24} gives more mesh vertices (45000036)"),
         ("macro.snapshot_times=[5.0]", "macro.snapshot_times entry 5.0"),
         ("macro.snapshot_times=[1e308]", "macro.snapshot_times entry 1e+308"),
         ("macro.t_end=-0.02", "macro.t_end must be finite and >= 0"),
@@ -585,6 +590,21 @@ class TestExitCodes:
                        "--out", str(out), "--set", "kernel.mesh.n_arc=400000000"])
         assert rc == 2
         assert "kernel.mesh.n_arc=400000000" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_tiny_kernel_mesh_h_is_refused_before_its_rings_are_counted(
+            self, tmp_path, capsys, monkeypatch):
+        # a/h rings overflowed the counter's int64 before the bound was met
+        def counted(*args):
+            raise AssertionError("the gate counted the inclusion mesh")
+
+        monkeypatch.setattr(msh, "inclusion_mesh_vertices", counted)
+        out = tmp_path / "out"
+        rc = cli.main(["pipeline", "--config", str(write_config(tmp_path)),
+                       "--out", str(out), "--set", "kernel.mesh.h=1e-300"])
+        assert rc == 2
+        assert ("kernel.mesh.h=1e-300 gives more mesh vertices"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_inclusion_kernel_m_at_its_dofs_passes_the_gate(self):

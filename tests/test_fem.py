@@ -112,6 +112,77 @@ class TestAssemblyIdentities:
             fem.assemble_corrector_rhs(coarse_cell_mesh, 1, coeff=0.0)
 
 
+def coo_csr_pattern(mesh):
+    """The P1 pattern as element matrices summed COO -> CSR give it."""
+    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
+    cols = np.tile(mesh.triangles, 3).ravel()
+    a = sp.coo_matrix((np.ones(rows.size), (rows, cols)),
+                      shape=(mesh.n_vertices, mesh.n_vertices)).tocsr()
+    a.sort_indices()
+    return a
+
+
+def reversed_numbering(mesh):
+    """The mesh with vertex v renumbered nv - 1 - v, and one vertex in no
+    triangle appended: corner pairs that ran up the numbering run down."""
+    nv = mesh.n_vertices
+    return msh.TriMesh(
+        vertices=np.vstack([mesh.vertices[::-1], [[2.0, 2.0]]]),
+        triangles=nv - 1 - mesh.triangles,
+        subdomain=mesh.subdomain,
+        boundary_edges=nv - 1 - mesh.boundary_edges,
+        boundary_tags=mesh.boundary_tags,
+    )
+
+
+def dense_assembly(mesh, element_of):
+    """Per triangle, its element matrix from its corners, added into a dense
+    matrix one triangle at a time."""
+    a = np.zeros((mesh.n_vertices, mesh.n_vertices))
+    for tri in mesh.triangles:
+        a[np.ix_(tri, tri)] += element_of(mesh.vertices[tri])
+    return a
+
+
+def p1_elements(corners, d):
+    """Stiffness with tensor ``d`` and mass of one P1 triangle, from the
+    inverse of its barycentric map."""
+    lift = np.column_stack([np.ones(3), corners])
+    grads = np.linalg.inv(lift)[1:].T
+    area = 0.5 * abs(np.linalg.det(lift))
+    return area * grads @ d @ grads.T, area / 12.0 * (np.ones((3, 3)) + np.eye(3))
+
+
+class TestP1Pattern:
+    @pytest.fixture(params=["cell-y1", "quarter", "square", "reversed"])
+    def mesh(self, request, ref_geom, coarse_cell_mesh):
+        if request.param == "cell-y1":
+            return msh.submesh(coarse_cell_mesh, msh.Y1)[0]
+        if request.param == "quarter":
+            return msh.build_inclusion_mesh(ref_geom, 1.0 / 24, n_arc=64)
+        square = msh.build_unit_square_mesh(7)
+        return square if request.param == "square" else reversed_numbering(square)
+
+    def test_pattern_is_the_coo_to_csr_pattern(self, mesh):
+        indptr, indices, slots = mesh.p1_pattern
+        ref = coo_csr_pattern(mesh)
+        np.testing.assert_array_equal(indptr, ref.indptr)
+        np.testing.assert_array_equal(indices, ref.indices)
+        # entry (t, i, j) lands at row triangles[t, i], column triangles[t, j]
+        tri = mesh.triangles
+        rows = np.searchsorted(indptr, slots, side="right") - 1
+        np.testing.assert_array_equal(rows, np.repeat(tri, 3, axis=1).ravel())
+        np.testing.assert_array_equal(indices[slots], np.tile(tri, 3).ravel())
+
+    def test_assembly_matches_a_dense_triangle_loop(self, mesh):
+        d = np.array([[1.7, -0.6], [-0.6, 0.9]])
+        for k, got in enumerate([fem.assemble_stiffness(mesh, d),
+                                 fem.assemble_mass(mesh)]):
+            ref = dense_assembly(mesh, lambda p: p1_elements(p, d)[k])
+            assert np.abs(got.toarray() - ref).max() <= 1e-14 * np.abs(ref).max()
+            np.testing.assert_array_equal(got.indices, mesh.p1_pattern[1])
+
+
 class TestConstraints:
     def test_dirichlet_poisson_matches_dense_reference(self):
         mesh = msh.build_unit_square_mesh(8)

@@ -701,6 +701,44 @@ class TestSubmesh:
         np.testing.assert_array_equal(vmap, np.arange(quarter.n_vertices))
 
 
+def assert_facts_are_fresh(mesh):
+    """The mesh's cached edge incidence and areas equal, array for array and
+    dtype for dtype, those computed afresh from its triangles."""
+    fresh = (*msh._edge_incidence(mesh.triangles),
+             msh._signed_areas(mesh.vertices[mesh.triangles]))
+    for got, want in zip((*mesh.edge_incidence, mesh.areas), fresh):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+class TestCachedFacts:
+    @pytest.mark.parametrize("label", [msh.Y1, msh.Y2])
+    def test_submesh_inherits_fresh_incidence_and_areas(self, coarse_cell_mesh,
+                                                        label):
+        sub, _ = msh.submesh(coarse_cell_mesh, label)
+        assert {"edge_incidence", "areas"} <= vars(sub).keys()
+        assert_facts_are_fresh(sub)
+
+    @given(angle=st.floats(0.0, 180.0), h=st.floats(0.03, 0.08),
+           n_arc=st.integers(10, 24).map(lambda q: 4 * q))
+    @settings(max_examples=8, deadline=None)
+    def test_submesh_facts_are_fresh_for_any_cell(self, angle, h, n_arc):
+        cell = msh.build_cell_mesh(msh.CellGeometry(a=0.3, b=0.15, angle_deg=angle),
+                                   h, n_arc)
+        for label in (msh.Y1, msh.Y2):
+            assert_facts_are_fresh(msh.submesh(cell, label)[0])
+
+    def test_meshers_hand_over_their_incidence(self, ref_geom, coarse_cell_mesh,
+                                               tmp_path):
+        path = tmp_path / "cell.msh"
+        write_msh(coarse_cell_mesh, path)
+        for mesh in (coarse_cell_mesh, msh.build_unit_square_mesh(6),
+                     msh.build_inclusion_mesh(ref_geom, 1.0 / 24, n_arc=64),
+                     msh.read_msh(path)):
+            assert "edge_incidence" in vars(mesh)
+            assert_facts_are_fresh(mesh)
+
+
 class TestGradients:
     def test_rows_sum_to_zero_and_reproduce_linear_gradients(self, coarse_cell_mesh):
         mesh = coarse_cell_mesh
