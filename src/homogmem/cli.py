@@ -253,6 +253,11 @@ def _check_config(config: dict, stages: list[str]) -> None:
     meshes = {}
     if cm["mode"] == "builtin" and (
             "tensor" in stages or "kernel" in stages and kc["mesh"]["mode"] == "cell"):
+        # the grid has 1/h squares per side, which the count rounds to an
+        # integer, so a 1/h above the bound (or infinite) is refused before it
+        if cm["h"] > 0.0 and 1.0 / cm["h"] > _MAX_VERTICES:
+            raise ValueError(f"mesh.h={cm['h']} gives more mesh vertices than a "
+                             f"sparse factor can index ({_MAX_VERTICES})")
         vertices = msh.cell_mesh_vertices(cm["h"], cm["n_arc"])
         meshes["at mesh.n_arc={n_arc}, mesh.h={h}".format(**cm)] = vertices
     if "kernel" in stages and kc["mesh"]["mode"] == "inclusion":

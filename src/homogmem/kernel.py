@@ -68,26 +68,60 @@ def _symmetry_classes(y2: TriMesh) -> list[tuple[tuple[int, ...], tuple[int, ...
     return classes
 
 
+# Pairs asked of each class above its Weyl share.  A class other than the
+# one holding the m-th eigenvalue needs one pair above its true count below
+# that eigenvalue, and over 196 quarter inclusions (b/a from 1/9 to 1, h from
+# 1/40 to 1/160, m from 4 to 200) that count exceeded the share's ceiling by
+# at most 1 at h <= 1/72.  With this margin 3 of them solved a class again,
+# all at h = 1/40 with b/a <= 1/8 and m >= 100.
+_SHARE_MARGIN = 2
+
+
+def _weyl_shares(y2: TriMesh, classes, m: int) -> np.ndarray:
+    """Each class's two-term Weyl count N_c at the cut where they sum to ``m``.
+
+    N_c(k) = (|Y2| k^2 + (L_N,c - L_D,c) k) / 4 pi, with k = sqrt(lambda/d2)
+    and L_D,c, L_N,c the lengths of the class's Dirichlet and natural
+    boundary (Weyl 1911; Ivrii 1980); the sum over classes is one quadratic
+    in k.
+    """
+    ends = y2.vertices[y2.boundary_edges]
+    lengths = np.hypot(*(ends[:, 1] - ends[:, 0]).T)
+    area = float(y2.areas.sum())
+    dirichlet = np.array([lengths[np.isin(y2.boundary_tags, tags)].sum()
+                          for tags, _ in classes])
+    skew = lengths.sum() - 2.0 * dirichlet  # natural minus Dirichlet length
+    c, b = len(classes), float(skew.sum())
+    k = (math.sqrt(b * b + 16.0 * math.pi * c * area * m) - b) / (2.0 * c * area)
+    return (area * k * k + skew * k) / (4.0 * math.pi)
+
+
 def _lowest_modes(y2: TriMesh, classes, m: int,
                   d2: float) -> tuple[np.ndarray, np.ndarray]:
-    """The ``m`` lowest eigenvalues over the ``classes``, and their modes' means."""
+    """The ``m`` lowest eigenvalues over the ``classes``, and their modes' means.
+
+    Each class is first asked for its two-term Weyl share of ``m``
+    (``_weyl_shares``) plus ``_SHARE_MARGIN`` pairs, at least one and at
+    most ``m``; a one-class mesh, whose share is ``m``, is asked for exactly
+    ``m``.  The estimate only sizes the first solves.  A
+    class's uncomputed eigenvalues lie above its largest computed one, so
+    a class is solved again, with twice the pairs, while that one lies
+    below the m-th smallest of the union and the class has pairs left; the
+    result is the lowest ``m`` of the union whatever the estimate.
+    """
     stiff = fem.assemble_stiffness(y2, d2)
     mass = fem.assemble_mass(y2)
-    blocks = []
-    for tags, odd in classes:
+    blocks, counts = [], []
+    for (tags, odd), share in zip(classes, _weyl_shares(y2, classes, m)):
         k_red, m_red, dofmap = fem.apply_constraints(y2, stiff, mass,
                                                      dirichlet_tags=tags)
         if k_red.shape[0]:
             blocks.append((k_red, m_red, dofmap, odd))
+            counts.append(min(m, k_red.shape[0],
+                              max(1, math.ceil(share) + _SHARE_MARGIN)))
     sizes = [block[0].shape[0] for block in blocks]
     if m > sum(sizes):
         raise ValueError(f"requested {m} eigenpairs of a {sum(sizes)}-dof system")
-
-    # Each class first gets its share of m with a margin.  Its uncomputed
-    # eigenvalues lie above its largest computed one, so a class is solved
-    # again, with twice the pairs, only while that one lies below the m-th
-    # smallest of the union and the class has pairs left.
-    counts = [min(m, n, math.ceil(1.25 * m / len(classes)) + 2) for n in sizes]
     pairs = [None] * len(blocks)
     while True:
         for i, (k_red, m_red, _, _) in enumerate(blocks):

@@ -489,6 +489,9 @@ class TestExitCodes:
         ("macro.n=100000000", "macro.n=100000000 gives more mesh vertices"),
         ("kernel.mesh.h=1e-7", "kernel.mesh.h=1e-07 gives more mesh vertices"),
         ("mesh.h=1e-5", "mesh.h=1e-05 gives more mesh vertices"),
+        # 1/h overflows to infinity before the grid count rounds it
+        ("mesh.h=1e-320", "mesh.h=1e-320 gives more mesh vertices"),
+        ("mesh.h=5e-324", "mesh.h=5e-324 gives more mesh vertices"),
         # counts the arcs put above the bound name them too
         ("mesh.n_arc=400000000", f"at mesh.n_arc=400000000, mesh.h={1.0 / 24} "
          "gives more mesh vertices (400000625)"),

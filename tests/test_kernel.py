@@ -132,6 +132,36 @@ def assert_matches_oracle(block, oracle):
             == ker.filter_kernel(oracle, 1e-5).kept_count)
 
 
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """The pairs of every ``solvers.smallest_eigenpairs`` call, in order."""
+    solves = []
+    smallest_eigenpairs = solvers.smallest_eigenpairs
+
+    def spy(k, m, count, tol=1e-8):
+        solves.append(smallest_eigenpairs(k, m, count, tol))
+        return solves[-1]
+
+    monkeypatch.setattr(solvers, "smallest_eigenpairs", spy)
+    return solves
+
+
+def assert_each_class_solved_once(quarter, geom, m, solves):
+    """Building the m-term kernel of ``quarter`` solves each symmetry class
+    once, within its Weyl share's margin of its true count below the m-th
+    eigenvalue, and matches the kernel of the mirrored full disk."""
+    block = ker.build_kernel(quarter, geom, m)
+    classes = ker._symmetry_classes(quarter)
+    assert len(solves) == len(classes)
+    values = [pairs.values for pairs in solves]
+    cut = np.sort(np.concatenate(values))[m - 1]
+    below = np.array([(v <= cut).sum() for v in values])
+    shares = ker._weyl_shares(quarter, classes, m)
+    assert np.abs(below - shares).max() <= ker._SHARE_MARGIN
+    assert_matches_oracle(block, ker.build_kernel(
+        mirror_quarter(quarter, geom), geom, m))
+
+
 class TestSymmetryBlocks:
     """The quarter inclusion, solved one symmetry class at a time, against
     the full disk mirrored from it as the oracle."""
@@ -139,19 +169,40 @@ class TestSymmetryBlocks:
     @pytest.fixture(scope="class", params=[15.0, 33.3])
     def meshes(self, request):
         geom = msh.CellGeometry(a=0.3, b=0.2, angle_deg=request.param)
-        quarter = msh.build_inclusion_mesh(geom, 1.0 / 60, n_arc=128)
-        return geom, quarter, mirror_quarter(quarter, geom)
+        return geom, msh.build_inclusion_mesh(geom, 1.0 / 60, n_arc=128)
 
     @pytest.mark.parametrize("m", [4, 17, 100])
-    def test_block_path_matches_full_disk(self, meshes, m):
-        geom, quarter, full = meshes
-        assert_matches_oracle(ker.build_kernel(quarter, geom, m),
-                              ker.build_kernel(full, geom, m))
+    def test_block_path_matches_full_disk(self, meshes, m, eigensolves):
+        geom, quarter = meshes
+        assert_each_class_solved_once(quarter, geom, m, eigensolves)
 
-    def test_undersized_class_is_solved_again(self, monkeypatch):
+    # the kernel meshes of the benchmark workloads default, cell-fine and
+    # macro-fine, with their m
+    @pytest.mark.parametrize("h, n_arc, m", [(0.00625, 384, 100), (1.0 / 72, 192, 10),
+                                             (0.0125, 192, 25)],
+                             ids=["default", "cell-fine", "macro-fine"])
+    def test_workload_kernel_meshes(self, ref_geom, h, n_arc, m, eigensolves):
+        quarter = msh.build_inclusion_mesh(ref_geom, h, n_arc=n_arc)
+        assert_each_class_solved_once(quarter, ref_geom, m, eigensolves)
+
+    def test_class_with_a_share_below_minus_margin_is_asked_for_one_pair(
+            self, eigensolves):
+        # on a thin ellipse the classes odd across the major axis have a
+        # Weyl share below -2 at m = 1, which the margin alone leaves at 0
+        geom = msh.CellGeometry(a=0.45, b=0.02, angle_deg=0.0)
+        quarter = msh.build_inclusion_mesh(geom, 1.0 / 100, n_arc=192)
+        shares = ker._weyl_shares(quarter, ker._symmetry_classes(quarter), 1)
+        assert shares.min() < -ker._SHARE_MARGIN
+        block = ker.build_kernel(quarter, geom, 1)
+        assert [pairs.count for pairs in eigensolves] == [1, 1, 1, 1]
+        assert_matches_oracle(block, ker.build_kernel(
+            mirror_quarter(quarter, geom), geom, 1))
+
+    def test_undersized_class_is_solved_again(self, monkeypatch, eigensolves):
         # a quarter of the rectangle (-L, L) x (-W, W) with W << L: the lowest
-        # modes are all even across the long axis, so the two classes even
-        # there hold half of them each, more than their first share
+        # modes are all even across the long axis, so an equal split of m
+        # leaves the two classes even there, which hold half of them each,
+        # short of pairs
         geom = msh.CellGeometry(a=0.4, b=0.04, angle_deg=0.0)
         base = msh.build_unit_square_mesh(24, label=msh.Y2)
         ends = base.vertices[base.boundary_edges]
@@ -160,16 +211,10 @@ class TestSymmetryBlocks:
                          [msh.MAJOR_AXIS, msh.MINOR_AXIS], msh.INCLUSION)
         quarter = replace(base, vertices=base.vertices * [0.4, 0.04] + 0.5,
                           boundary_tags=tags)
-        counts = []
-
-        def spy(k, m, count, tol=1e-8):
-            counts.append(count)
-            return smallest_eigenpairs(k, m, count, tol)
-
-        smallest_eigenpairs = solvers.smallest_eigenpairs
-        monkeypatch.setattr(solvers, "smallest_eigenpairs", spy)
+        monkeypatch.setattr(ker, "_weyl_shares",
+                            lambda y2, classes, m: np.full(len(classes), m / len(classes)))
         block = ker.build_kernel(quarter, geom, 16)
-        assert len(counts) > 4  # one solve per class, then at least one more
+        assert len(eigensolves) > 4  # one solve per class, then at least one more
         assert_matches_oracle(block, ker.build_kernel(
             mirror_quarter(quarter, geom), geom, 16))
 
