@@ -14,6 +14,8 @@ import datetime
 import json
 import sys
 import time
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -121,24 +123,6 @@ def load_config(path, overrides=()) -> dict:
     return config
 
 
-def _cell_mesh(config: dict, geom: msh.CellGeometry) -> msh.TriMesh:
-    mc = config["mesh"]
-    if mc["mode"] == "builtin":
-        mesh = msh.build_cell_mesh(geom, h=mc["h"], n_arc=mc["n_arc"])
-    else:
-        sub_map = {}
-        for key, name in (mc["subdomain_tags"] or {}).items():
-            try:
-                sub_map[int(key)] = name
-            except ValueError:
-                raise ValueError(f"mesh.subdomain_tags key {key!r} is not an "
-                                 "integer physical group") from None
-        mesh = msh.read_msh(mc["msh_path"], subdomain_map=sub_map or None)
-        # the built-in mesher checks its own invariants; a file is checked here
-        msh.validate_mesh(mesh)
-    return mesh
-
-
 _U0_FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs", "tanh", "cosh",
                 "sinh", "where", "minimum", "maximum")
 _U0_CONSTANTS = ("pi", "e")
@@ -239,20 +223,68 @@ def _would_write(stage: str, config: dict) -> list[str]:
 _MAX_VERTICES = 10**7
 
 
-def _check_config(config: dict, stages: list[str]) -> None:
-    """Reject, before any stage runs, the values that a stage in ``stages``
-    would refuse only once it runs, after earlier stages have written their
-    artifacts; most of these are the library's own checks, run early."""
+@dataclass(frozen=True, eq=False)
+class Plan:
+    """One run's config and stages, and the objects its stages share, each
+    built when first read (by the gate or by its stage) and then kept."""
+
+    config: dict
+    stages: tuple[str, ...]
+
+    @cached_property
+    def geometry(self) -> msh.CellGeometry:
+        return msh.CellGeometry(**self.config["cell"])
+
+    @cached_property
+    def u0(self):
+        return _resolve_u0(self.config["macro"]["u0"])
+
+    @cached_property
+    def cell_mesh(self) -> msh.TriMesh:
+        mc = self.config["mesh"]
+        if mc["mode"] == "builtin":
+            return msh.build_cell_mesh(self.geometry, h=mc["h"], n_arc=mc["n_arc"])
+        sub_map = {}
+        for key, name in (mc["subdomain_tags"] or {}).items():
+            try:
+                sub_map[int(key)] = name
+            except ValueError:
+                raise ValueError(f"mesh.subdomain_tags key {key!r} is not an "
+                                 "integer physical group") from None
+        mesh = msh.read_msh(mc["msh_path"], subdomain_map=sub_map or None)
+        # the built-in mesher checks its own invariants; a file is checked here
+        msh.validate_mesh(mesh)
+        return mesh
+
+    @cached_property
+    def kernel_mesh(self) -> msh.TriMesh:
+        """The quarter inclusion, or the cell mesh's Y2 submesh."""
+        km = self.config["kernel"]["mesh"]
+        if km["mode"] == "inclusion":
+            return msh.build_inclusion_mesh(self.geometry, h=km["h"], n_arc=km["n_arc"])
+        return msh.submesh(self.cell_mesh, msh.Y2)[0]
+
+    @cached_property
+    def macro_mesh(self) -> msh.TriMesh:
+        return msh.build_unit_square_mesh(self.config["macro"]["n"])
+
+
+def plan(config: dict, stages: list[str]) -> Plan:
+    """The plan of running ``stages`` on ``config``.  Rejects, before any
+    stage runs, the values that a stage would refuse only after earlier
+    stages have written; most of these are the library's own checks."""
+    planned = Plan(config, tuple(stages))
     if config["mesh"]["mode"] == "msh" and not config["mesh"]["msh_path"]:
         raise ValueError("mesh.mode 'msh' requires mesh.msh_path")
     if "tensor" in stages or "kernel" in stages:
-        geom = msh.CellGeometry(**config["cell"])
+        planned.geometry  # a valid CellGeometry
     cm, kc = config["mesh"], config["kernel"]
+    km, a = kc["mesh"], config["cell"]["a"]
     # the settings -> the vertex estimate of every mesh the stages build, from
     # the meshers' own size functions, which also check their arguments
     meshes = {}
     if cm["mode"] == "builtin" and (
-            "tensor" in stages or "kernel" in stages and kc["mesh"]["mode"] == "cell"):
+            "tensor" in stages or "kernel" in stages and km["mode"] == "cell"):
         # the grid has 1/h squares per side, which the count rounds to an
         # integer, so a 1/h above the bound (or infinite) is refused before it
         if cm["h"] > 0.0 and 1.0 / cm["h"] > _MAX_VERTICES:
@@ -260,11 +292,10 @@ def _check_config(config: dict, stages: list[str]) -> None:
                              f"sparse factor can index ({_MAX_VERTICES})")
         vertices = msh.cell_mesh_vertices(cm["h"], cm["n_arc"])
         meshes["at mesh.n_arc={n_arc}, mesh.h={h}".format(**cm)] = vertices
-    if "kernel" in stages and kc["mesh"]["mode"] == "inclusion":
+    if "kernel" in stages and km["mode"] == "inclusion":
         # the whole inclusion's arc alone has n_arc vertices, and its major
         # semi-axis a/h rings; its count takes memory in n_arc and integers
         # in a/h, so either above the bound is refused before it
-        km, a = kc["mesh"], config["cell"]["a"]
         for setting, least in (("n_arc", km["n_arc"]),
                                ("h", a / km["h"] if km["h"] > 0.0 else 0.0)):
             if least > _MAX_VERTICES:
@@ -281,7 +312,7 @@ def _check_config(config: dict, stages: list[str]) -> None:
             raise ValueError(f"kernel.epsilon must be >= 0, got {kc['epsilon']}")
     if "solve" in stages:
         mac = config["macro"]
-        u0 = _resolve_u0(mac["u0"])
+        planned.u0  # a u0 that compiles
         macro.check_time_grid(mac["tau"], mac["t_end"], mac["sigma"],
                               mac["snapshot_times"])
         if mac["n"] < 1:
@@ -295,12 +326,11 @@ def _check_config(config: dict, stages: list[str]) -> None:
         # the exact dof count of the kernel's eigenproblem: on the inclusion
         # mesh from its closed form; on the cell mesh, sized above or read
         # from a file, its Y2 vertices off the Y2 boundary
-        if kc["mesh"]["mode"] == "inclusion":
-            dofs = msh.inclusion_interior_vertices(
-                config["cell"]["a"], kc["mesh"]["h"], kc["mesh"]["n_arc"])
+        if km["mode"] == "inclusion":
+            dofs = msh.inclusion_interior_vertices(a, km["h"], km["n_arc"])
             what = "inclusion"
         else:
-            y2, _ = msh.submesh(_cell_mesh(config, geom), msh.Y2)
+            y2 = planned.kernel_mesh
             dofs = y2.n_vertices - np.unique(y2.boundary_edges).size
             what = "Y2"
         if kc["m"] > dofs:
@@ -308,9 +338,10 @@ def _check_config(config: dict, stages: list[str]) -> None:
                              f"{what} eigenproblem")
     if "solve" in stages:
         # u0 goes through the solve stage's own load, on its own mesh
-        mesh = msh.build_unit_square_mesh(mac["n"])
+        mesh = planned.macro_mesh
         (dofmap,) = fem.apply_constraints(mesh, dirichlet_tags=(msh.OUTER,))
-        macro.initial_load(mesh, u0, dofmap)
+        macro.initial_load(mesh, planned.u0, dofmap)
+    return planned
 
 
 def _check_output_dir(outdir: Path, stages: list[str], config: dict,
@@ -354,9 +385,8 @@ def _dump_json(payload: dict, path: Path) -> None:
         json.dump(payload, fh, indent=2, sort_keys=True)
 
 
-def cmd_tensor(config: dict, outdir: Path) -> None:
-    geom = msh.CellGeometry(**config["cell"])
-    mesh = _cell_mesh(config, geom)
+def cmd_tensor(plan: Plan, outdir: Path) -> None:
+    geom, mesh = plan.geometry, plan.cell_mesh
     correctors = cell_mod.solve_correctors(mesh, geom)
     result = cell_mod.effective_tensor(correctors, geom)
     payload = {
@@ -367,38 +397,28 @@ def cmd_tensor(config: dict, outdir: Path) -> None:
         "multipliers": [c.multiplier for c in correctors.components],
         "residuals": [c.residual for c in correctors.components],
         "mesh": {"n_vertices": mesh.n_vertices, "n_triangles": mesh.n_triangles},
-        "geometry": config["cell"],
+        "geometry": plan.config["cell"],
     }
     _dump_json(payload, outdir / "tensor.json")
-    if config["output"]["write_correctors"]:
+    if plan.config["output"]["write_correctors"]:
         for comp in correctors.components:
-            output.write_snapshot_csv(
-                correctors.mesh, comp.theta,
-                outdir / f"corrector_{comp.direction}.csv", name="theta",
-            )
+            output.write_snapshot_csv(correctors.mesh, comp.theta,
+                                      outdir / f"corrector_{comp.direction}.csv",
+                                      name="theta")
 
 
-def cmd_kernel(config: dict, outdir: Path) -> None:
-    geom = msh.CellGeometry(**config["cell"])
-    kc = config["kernel"]
-    kmesh = kc["mesh"]
-    if kmesh["mode"] == "inclusion":
-        mesh = msh.build_inclusion_mesh(geom, h=kmesh["h"], n_arc=kmesh["n_arc"])
-    else:
-        mesh = _cell_mesh(config, geom)
-    raw = kernel_mod.build_kernel(mesh, geom, kc["m"])
+def cmd_kernel(plan: Plan, outdir: Path) -> None:
+    kc = plan.config["kernel"]
+    raw = kernel_mod.build_kernel(plan.kernel_mesh, plan.geometry, kc["m"])
     filtered = kernel_mod.filter_kernel(raw, kc["epsilon"], fold=kc["fold_rho"])
     _dump_json(kernel_mod.kernel_to_json(filtered), outdir / "kernel.json")
     if filtered.rates.size:
-        t_hi = 20.0 / filtered.rates.min()
-        t_lo = 1e-4 / filtered.rates.max()
+        t_lo, t_hi = 1e-4 / filtered.rates.max(), 20.0 / filtered.rates.min()
         ts = np.concatenate([[0.0], np.geomspace(t_lo, t_hi, 200)])
     else:
         ts = np.linspace(0.0, 1.0, 201)
-    output.write_series_csv(
-        outdir / "kernel_samples.csv",
-        {"t": ts, "chi": np.atleast_1d(kernel_mod.eval_kernel(filtered, ts))},
-    )
+    output.write_series_csv(outdir / "kernel_samples.csv", {
+        "t": ts, "chi": np.atleast_1d(kernel_mod.eval_kernel(filtered, ts))})
 
 
 def _read_input(path: Path, what: str, parse):
@@ -420,56 +440,36 @@ def _read_input(path: Path, what: str, parse):
     raise ValueError(f"{what} file {path} does not hold a JSON object")
 
 
-def cmd_solve(config: dict, outdir: Path) -> None:
-    mac = config["macro"]
+def cmd_solve(plan: Plan, outdir: Path) -> None:
+    mac = plan.config["macro"]
     tensor_path = Path(mac["tensor_path"] or outdir / "tensor.json")
     kernel_path = Path(mac["kernel_path"] or outdir / "kernel.json")
     tensor = _read_input(tensor_path, "effective tensor",
                          lambda data: np.asarray(data["d"], dtype=float))
     ker = _read_input(kernel_path, "kernel", kernel_mod.kernel_from_json)
 
-    mesh = msh.build_unit_square_mesh(mac["n"])
-    problem = macro.MacroProblem(
-        mesh=mesh,
-        tensor=tensor,
-        kernel=ker,
-        u0=_resolve_u0(mac["u0"]),
-        tau=mac["tau"],
-        t_end=mac["t_end"],
-        sigma=mac["sigma"],
-    )
+    mesh = plan.macro_mesh
+    problem = macro.MacroProblem(mesh=mesh, tensor=tensor, kernel=ker, u0=plan.u0,
+                                 tau=mac["tau"], t_end=mac["t_end"], sigma=mac["sigma"])
     result = macro.run(problem, snapshot_times=mac["snapshot_times"])
 
-    levels = np.arange(result.times.size)
-    output.write_series_csv(
-        outdir / "energy.csv",
-        {"n": levels, "t": result.times, "energy": result.energies,
-         "l2_norm": result.l2_norms},
-    )
+    output.write_series_csv(outdir / "energy.csv", {
+        "n": np.arange(result.times.size), "t": result.times,
+        "energy": result.energies, "l2_norm": result.l2_norms})
     writers = {"vtk": output.write_vtk, "csv": output.write_snapshot_csv}
     for t_snap, field in result.snapshots:
         stem = _snapshot_stem(t_snap, problem.tau)
-        for ext in config["output"]["formats"]:
+        for ext in plan.config["output"]["formats"]:
             writers[ext](mesh, field, outdir / f"{stem}.{ext}")
 
-    warnings_list = []
-    if problem.conditionally_stable:
-        warnings_list.append(
-            f"sigma={problem.sigma} < 1/2 is only conditionally stable"
-        )
     summary = {
-        "e0": result.initial_energy,
-        "e_end": result.final_energy,
-        "steps": problem.n_steps,
-        "n_dofs": int(result.final.y.shape[0]),
-        "sigma": problem.sigma,
-        "tau": problem.tau,
-        "t_end": problem.t_end,
-        "energy_monotone": bool(
-            np.all(np.diff(result.energies)
-                   <= 1e-12 * max(result.initial_energy, 1e-300))
-        ),
-        "warnings": warnings_list,
+        "e0": result.initial_energy, "e_end": result.final_energy,
+        "steps": problem.n_steps, "n_dofs": int(result.final.y.shape[0]),
+        "sigma": problem.sigma, "tau": problem.tau, "t_end": problem.t_end,
+        "energy_monotone": bool(np.all(
+            np.diff(result.energies) <= 1e-12 * max(result.initial_energy, 1e-300))),
+        "warnings": ([f"sigma={problem.sigma} < 1/2 is only conditionally stable"]
+                     if problem.conditionally_stable else []),
     }
     _dump_json(summary, outdir / "summary.json")
 
@@ -477,8 +477,7 @@ def cmd_solve(config: dict, outdir: Path) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="homogmem",
-        description="Three-stage homogenization pipeline for diffusion with memory",
-    )
+        description="Three-stage homogenization pipeline for diffusion with memory")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("tensor", "solve the periodic cell problems and write tensor.json"),
@@ -502,16 +501,14 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config, overrides=args.set)
         outdir = Path(config["output"]["directory"] if args.out is None else args.out)
-        stages = (
-            ["tensor", "kernel", "solve"] if args.command == "pipeline"
-            else [args.command]
-        )
-        _check_config(config, stages)
+        stages = (["tensor", "kernel", "solve"] if args.command == "pipeline"
+                  else [args.command])
+        planned = plan(config, stages)
         recorded = _check_output_dir(outdir, stages, config, args.force)
         runners = {"tensor": cmd_tensor, "kernel": cmd_kernel, "solve": cmd_solve}
         for stage in stages:
             start = time.perf_counter()
-            runners[stage](config, outdir)
+            runners[stage](planned, outdir)
             _update_meta(outdir, recorded, stage, time.perf_counter() - start)
     except ConvergenceError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -201,7 +201,8 @@ class CellGeometry:
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Per point, whether it lies strictly inside the ellipse."""
         local = (points - np.asarray(self.center)) @ self.local_frame()
-        return (local[:, 0] / self.b) ** 2 + (local[:, 1] / self.a) ** 2 < 1.0
+        with np.errstate(over="ignore"):  # a tiny axis overflows to inf, still outside
+            return (local[:, 0] / self.b) ** 2 + (local[:, 1] / self.a) ** 2 < 1.0
 
     def boundary_polygon(self, n_arc: int) -> np.ndarray:
         """Inscribed n_arc-gon of the ellipse, counterclockwise."""

@@ -1,5 +1,6 @@
 """CLI pipeline: config handling, artifacts, schemas, exit codes."""
 import ast
+import collections
 import dataclasses
 import functools
 import importlib.util
@@ -617,13 +618,13 @@ class TestExitCodes:
         config = cli._merge(cli.DEFAULT_CONFIG,
                             {**SMALL_CONFIG, "kernel": {**SMALL_CONFIG["kernel"],
                                                         "m": dofs}})
-        cli._check_config(config, ["kernel"])
+        cli.plan(config, ["kernel"])
 
     @pytest.mark.parametrize("workload", ["default", "cell-fine", "macro-fine"])
     def test_benchmark_meshes_pass_the_size_gate(self, workload):
         config = cli._merge(cli.DEFAULT_CONFIG,
                             load_bench_workloads().config_overrides(workload, 0))
-        cli._check_config(config, ["tensor", "kernel", "solve"])
+        cli.plan(config, ["tensor", "kernel", "solve"])
 
     def test_value_range_gate_checks_only_the_stages_that_run(self, tmp_path):
         config = write_config(tmp_path)
@@ -866,7 +867,7 @@ class TestExitCodes:
                          "--out", str(out)]) == 2
 
     def test_numerical_failure_exits_3(self, tmp_path, monkeypatch):
-        def explode(config, outdir):
+        def explode(plan, outdir):
             raise errors.ConvergenceError("did not converge")
 
         monkeypatch.setattr(cli, "cmd_tensor", explode)
@@ -939,6 +940,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    # a needle inclusion, which the cell kernel mode meshes in the gate: the
+    # ellipse test overflowed with a numpy warning before the error
+    @pytest.mark.parametrize("b", ["1e-300", "5e-324"])
+    def test_tiny_cell_b_exits_2_before_any_stage_without_a_warning(
+            self, tmp_path, capsys, b):
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["pipeline", "--config", str(write_config(tmp_path)),
+                           "--out", str(out), "--set", f"cell.b={b}",
+                           "--set", 'kernel.mesh.mode="cell"'])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: material interface does not match the inclusion polygon; "
+            "decrease n_arc or refine h\n")
+        assert not out.exists()
+
     def test_msh_mode_without_path_exits_2_before_any_stage(self, tmp_path, capsys):
         config = write_config(tmp_path)
         out = tmp_path / "out"
@@ -1001,6 +1019,102 @@ class TestExitCodes:
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit):
             cli.main([])
+
+
+def spy_on_builders(monkeypatch) -> collections.Counter:
+    """Count the calls of the meshers, of ``cli._resolve_u0`` and, as
+    ``"y2_submesh"``, of Y2 restrictions of a mesh not all Y2 already."""
+    calls = collections.Counter()
+
+    def spy(module, name, key=None, counts=lambda *args: True):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            if counts(*args):
+                calls[key or name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("build_cell_mesh", "read_msh", "build_inclusion_mesh",
+                 "build_unit_square_mesh"):
+        spy(msh, name)
+    spy(cli, "_resolve_u0")
+    spy(msh, "submesh", "y2_submesh", lambda mesh, label: bool(
+        label == msh.Y2 and (mesh.subdomain != msh.Y2).any()))
+    return calls
+
+
+# Single numeric leaves set to boundary, tiny, huge, zero or negative values.
+# A mesh size is either refused before any mesh is built (by its argument
+# check or the vertex bound) or at most 4x the small config's resolution,
+# since the gate builds the cell mesh in the cell kernel mode and the macro
+# mesh; the inclusion mesh it only counts.
+EDGE_FLOATS = [0.0, -0.0, -1.0, 5e-324, 1e-300, 1e-8, 1e300, sys.float_info.max,
+               float("inf"), -float("inf"), float("nan")]
+EDGE_INTS = [0, -1, 10**7 + 1, 10**18]
+PLAN_VALUES = {
+    path: (st.sampled_from(EDGE_FLOATS) | st.floats() if type(default) is float
+           else st.sampled_from(EDGE_INTS) | st.integers())
+    for path, default in leaves(cli.DEFAULT_CONFIG) if type(default) in (int, float)
+} | {
+    "mesh.h": st.sampled_from(EDGE_FLOATS) | st.floats(1.0 / 96, 1e300),
+    "mesh.n_arc": st.sampled_from(EDGE_INTS) | st.integers(-8, 256),
+    "kernel.mesh.n_arc": st.sampled_from(EDGE_INTS) | st.integers(-8, 256),
+    "macro.n": st.sampled_from(EDGE_INTS + [3162]) | st.integers(-8, 32),
+}
+# what cli.main reports with exit 2; its ConvergenceError is exit 3
+EXIT_2_ERRORS = (errors.HomogError, ValueError, KeyError, OSError, MemoryError,
+                 OverflowError)
+
+
+class TestPlan:
+    @pytest.mark.parametrize("kernel_mesh, cell_mesher", [
+        ("inclusion", "build_cell_mesh"), ("cell", "build_cell_mesh"),
+        ("cell", "read_msh")])
+    def test_pipeline_builds_each_mesh_and_u0_once(self, tmp_path, monkeypatch,
+                                                   kernel_mesh, cell_mesher):
+        sets = ["--set", f'kernel.mesh.mode="{kernel_mesh}"']
+        if cell_mesher == "read_msh":
+            msh_path = tmp_path / "cell.msh"
+            msh_path.write_text("\n".join(small_msh_lines()) + "\n")
+            sets += ["--set", 'mesh.mode="msh"', "--set", f'mesh.msh_path="{msh_path}"']
+        calls = spy_on_builders(monkeypatch)
+        assert cli.main(["pipeline", "--config", str(write_config(tmp_path)),
+                         "--out", str(tmp_path / "out"), *sets]) == 0
+        kernel_mesher = ("build_inclusion_mesh" if kernel_mesh == "inclusion"
+                         else "y2_submesh")
+        assert calls == {"build_unit_square_mesh": 1, "_resolve_u0": 1,
+                         cell_mesher: 1, kernel_mesher: 1}
+
+    def test_solve_alone_builds_no_cell_or_inclusion_mesh(self, pipeline_run,
+                                                          tmp_path, monkeypatch):
+        config, out = pipeline_run
+        calls = spy_on_builders(monkeypatch)
+        # nor checks the cell: a solve run reads no geometry
+        assert cli.main(["solve", "--config", str(config), "--out", str(tmp_path),
+                         "--set", f'macro.tensor_path="{out / "tensor.json"}"',
+                         "--set", f'macro.kernel_path="{out / "kernel.json"}"',
+                         "--set", "cell.a=0.6"]) == 0
+        assert calls == {"build_unit_square_mesh": 1, "_resolve_u0": 1}
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_plan_returns_or_raises_an_exit_2_error(self, data):
+        mode = data.draw(st.sampled_from(["inclusion", "cell"]), label="kernel mode")
+        path = data.draw(st.sampled_from(sorted(PLAN_VALUES)), label="leaf")
+        value = data.draw(PLAN_VALUES[path], label="value")
+        config = cli._merge(cli.DEFAULT_CONFIG, SMALL_CONFIG)
+        config = cli._merge(config, nested("kernel.mesh.mode", mode))
+        config = cli._merge(config, nested(path, value))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                planned = cli.plan(config, ["tensor", "kernel", "solve"])
+            except EXIT_2_ERRORS as err:
+                assert not isinstance(err, errors.ConvergenceError)
+            else:
+                assert isinstance(planned, cli.Plan)
 
 
 def load_bench_workloads():

@@ -2,6 +2,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +78,17 @@ class TestCellGeometry:
     def test_polygon_needs_enough_arcs(self):
         with pytest.raises(GeometryError):
             msh.CellGeometry(a=0.3, b=0.2).boundary_polygon(4)
+
+    @pytest.mark.parametrize("b", [1e-300, 5e-324])
+    def test_contains_a_needle_without_an_overflow_warning(self, b):
+        # off the major axis (x/b)**2 overflows to inf, which is outside
+        geom = msh.CellGeometry(a=0.3, b=b)
+        points = np.array([[0.5, 0.5], [0.5, 0.7], [0.5, 0.81], [0.501, 0.5],
+                           [0.9, 0.9]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inside = geom.contains(points)
+        np.testing.assert_array_equal(inside, [True, True, False, False, False])
 
     @given(
         b=st.floats(0.05, 0.2),
