@@ -250,10 +250,7 @@ class Plan:
             except ValueError:
                 raise ValueError(f"mesh.subdomain_tags key {key!r} is not an "
                                  "integer physical group") from None
-        mesh = msh.read_msh(mc["msh_path"], subdomain_map=sub_map or None)
-        # the built-in mesher checks its own invariants; a file is checked here
-        msh.validate_mesh(mesh)
-        return mesh
+        return msh.read_msh(mc["msh_path"], subdomain_map=sub_map or None)
 
     @cached_property
     def kernel_mesh(self) -> msh.TriMesh:

@@ -146,12 +146,9 @@ def apply_constraints(mesh: TriMesh, *matrices: sp.spmatrix, dirichlet_tags=(),
     if any(a.shape != (nv, nv) for a in matrices):
         raise ValueError("matrix size does not match the mesh")
 
-    dirichlet = np.array([], dtype=np.int64)
-    if dirichlet_tags:
-        sel = np.isin(mesh.boundary_tags, dirichlet_tags)
-        if not sel.any():
-            raise ValueError(f"no boundary edges tagged {tuple(dirichlet_tags)}")
-        dirichlet = np.unique(mesh.boundary_edges[sel])
+    dirichlet = mesh.tagged_vertices(dirichlet_tags)
+    if dirichlet_tags and dirichlet.size == 0:
+        raise ValueError(f"no boundary edges tagged {tuple(dirichlet_tags)}")
 
     pairs = np.asarray(() if periodic_pairs is None else periodic_pairs,
                        dtype=np.int64).reshape(-1, 2)

@@ -72,9 +72,8 @@ def eigenproblem_dofs(y2: TriMesh) -> int:
     """Dofs of the kernel's eigenproblem on ``y2``, summed over its symmetry
     classes: per class, the vertices on no edge carrying one of its
     Dirichlet tags, the ones ``fem.apply_constraints`` keeps."""
-    return sum(y2.n_vertices - np.unique(
-        y2.boundary_edges[np.isin(y2.boundary_tags, tags)]).size
-        for tags, _ in _symmetry_classes(y2))
+    return sum(y2.n_vertices - y2.tagged_vertices(tags).size
+               for tags, _ in _symmetry_classes(y2))
 
 
 # Pairs asked of each class above its Weyl share.  A class other than the

@@ -46,8 +46,8 @@ _SOLVER_TOL = 1e-12
 # range of the integrating factors s_k; a factor that leaves it is folded
 # into its row of the auxiliary block, far from under- and overflow
 _FACTOR_RANGE = (1e-30, 1e30)
-# steps a run may take: a time level's three float64 series and energy.csv row
-# peak at 523 bytes (tracemalloc, 1e5 levels), so 1e6 steps take about 0.5 GB
+# steps a run may take: a time level's three float64 series and its share of
+# writing energy.csv peak at 61 bytes (tracemalloc, 1e5 levels), so 1e6 take 60 MB
 _MAX_STEPS = 10**6
 
 

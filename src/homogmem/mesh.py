@@ -7,10 +7,10 @@ are mesh edges, and keeps the square-edge vertex layout mirror-identical on
 opposite sides so that ``periodic_pairs`` matches them by coordinates.
 Each mesh fact has one home: a mesher's size function is also its argument
 check, ``submesh`` is the one restriction to a subdomain (a no-op on a mesh
-already restricted), and a TriMesh caches its areas, P1 gradients, edge
-incidence and P1 matrix pattern.  Each is computed once per mesh: the
-meshers hand over the incidence and areas they computed, and ``submesh``
-restricts its parent's instead of sorting the edges again.
+already restricted), every other maker ends in the checks of ``_finish``,
+and a TriMesh caches its areas, P1 gradients, edge incidence and P1 matrix
+pattern.  Each is computed once per mesh: ``_finish`` hands over the
+incidence and areas it computed, and ``submesh`` restricts its parent's.
 """
 from __future__ import annotations
 
@@ -141,6 +141,11 @@ class TriMesh:
     def subdomain_measure(self, label: int) -> float:
         return float(self.areas[self.subdomain == label].sum())
 
+    def tagged_vertices(self, tags) -> np.ndarray:
+        """The vertices on boundary edges carrying one of the tag codes
+        ``tags``, ascending."""
+        return np.unique(self.boundary_edges[np.isin(self.boundary_tags, tags)])
+
 
 @dataclass(frozen=True)
 class CellGeometry:
@@ -259,6 +264,26 @@ def _tag_edges(uniq: np.ndarray, inverse: np.ndarray, counts: np.ndarray,
     return np.vstack([uniq[outer], uniq[interface]]), tags
 
 
+def _finish(points: np.ndarray, triangles: np.ndarray, subdomain: np.ndarray,
+            boundary=_tag_edges) -> TriMesh:
+    """The mesh of ``triangles`` on ``points`` with labels ``subdomain``, and
+    the end of every mesh maker but ``submesh``.  A signed area not above
+    1e-14 (NaN too) or an edge in more than two triangles is a GeometryError.
+    The boundary is ``boundary(uniq, inverse, counts, subdomain)`` of the
+    triangles' ``_edge_incidence``, which the mesh keeps with the areas."""
+    areas = _signed_areas(points[triangles])
+    if not areas.min() > 1e-14:  # also catches NaN
+        raise GeometryError("triangulation produced a degenerate triangle, "
+                            "or one listed clockwise")
+    incidence = _edge_incidence(triangles)
+    if incidence[2].max() > 2:
+        raise GeometryError("non-conforming triangulation: an edge is shared by "
+                            "more than two triangles")
+    return TriMesh._with_facts(points, triangles, subdomain,
+                               *boundary(*incidence, subdomain),
+                               edge_incidence=incidence, areas=areas)
+
+
 def _fix_orientation(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     flip = _signed_areas(vertices[triangles]) < 0.0
     out = triangles.copy()
@@ -292,11 +317,7 @@ def build_unit_square_mesh(n: int, label: int = OMEGA) -> TriMesh:
     xg, yg = np.meshgrid(coords, coords, indexing="xy")
     vertices = np.column_stack([xg.ravel(), yg.ravel()])
     triangles = _grid_halves(np.arange(n * n), n, np.arange((n + 1) ** 2))
-    subdomain = np.full(triangles.shape[0], label, dtype=int)
-    incidence = _edge_incidence(triangles)
-    return TriMesh._with_facts(vertices, triangles, subdomain,
-                               *_tag_edges(*incidence, subdomain),
-                               edge_incidence=incidence)
+    return _finish(vertices, triangles, np.full(triangles.shape[0], label, dtype=int))
 
 
 def _segment_gaps(points: np.ndarray, a: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -426,12 +447,6 @@ def build_cell_mesh(geom: CellGeometry, h: float, n_arc: int = 128) -> TriMesh:
             & band[square[:, 1], square[:, 0]])
     triangles = np.vstack([whole, _fix_orientation(points, simplices[keep])])
 
-    areas = _signed_areas(points[triangles])
-    if areas.min() <= 1e-14:
-        raise GeometryError("triangulation produced a degenerate triangle")
-    if abs(float(areas.sum()) - 1.0) > 1e-12:
-        raise GeometryError("cell triangles do not tile the unit square")
-
     # a point between the polygon and the ellipse lies within the arc's cap
     # height of the polygon, at most 0.1 of the longest edge, and every kept
     # grid point lies at least ``clear`` from it: the ellipse equation sides
@@ -440,18 +455,15 @@ def build_cell_mesh(geom: CellGeometry, h: float, n_arc: int = 128) -> TriMesh:
     # exactly when each of its corners is a polygon vertex or an inside
     # point; the interface check below establishes that premise
     in_y2 = np.concatenate([geom.contains(grid[is_clear]), np.ones(n_arc, dtype=bool)])
-    subdomain = np.where(in_y2[triangles].all(axis=1), Y2, Y1)
-    incidence = _edge_incidence(triangles)
-    if incidence[2].max() > 2:
-        raise GeometryError("cell triangles overlap: an edge is shared by "
-                            "more than two triangles")
-    boundary_edges, boundary_tags = _tag_edges(*incidence, subdomain)
+    mesh = _finish(points, triangles, np.where(in_y2[triangles].all(axis=1), Y2, Y1))
+    if abs(float(mesh.areas.sum()) - 1.0) > 1e-12:
+        raise GeometryError("cell triangles do not tile the unit square")
 
     # equal interface keys also mean that every polygon edge is a mesh edge
     nv = points.shape[0]
     ring = n_grid + np.arange(n_arc)
     wanted = np.sort(_edge_keys(np.column_stack([ring, np.roll(ring, -1)]), nv))
-    interface = _edge_keys(boundary_edges[boundary_tags == INCLUSION], nv)
+    interface = _edge_keys(mesh.boundary_edges[mesh.boundary_tags == INCLUSION], nv)
     if not np.array_equal(interface, wanted):
         raise GeometryError(
             "material interface does not match the inclusion polygon; "
@@ -459,12 +471,10 @@ def build_cell_mesh(geom: CellGeometry, h: float, n_arc: int = 128) -> TriMesh:
         )
     # per vertex, whether it lies on each of the four sides of the frame
     sides = np.isclose(points[:, :, None], [0.0, 1.0]).reshape(nv, 4)
-    ends = boundary_edges[boundary_tags == OUTER]
+    ends = mesh.boundary_edges[mesh.boundary_tags == OUTER]
     if not (sides[ends[:, 0]] & sides[ends[:, 1]]).any(axis=1).all():
         raise GeometryError("open boundary edge off the unit square frame")
-
-    return TriMesh._with_facts(points, triangles, subdomain, boundary_edges,
-                               boundary_tags, edge_incidence=incidence, areas=areas)
+    return mesh
 
 
 def _grid_count(h: float) -> int:
@@ -538,33 +548,23 @@ def build_inclusion_mesh(geom: CellGeometry, h: float, n_arc: int = 256) -> TriM
         raise GeometryError("quarter-disk triangulation dropped input points")
     triangles = _fix_orientation(local, np.asarray(tri.simplices, dtype=np.int64))
 
+    def by_axis(uniq, inverse, counts, subdomain):  # the open edges
+        on_axis = (local[uniq[counts == 1]] == 0.0).all(axis=1)  # x = 0, y = 0
+        return uniq[counts == 1], np.select([on_axis[:, 0], on_axis[:, 1]],
+                                            [MAJOR_AXIS, MINOR_AXIS], INCLUSION)
+
     points = (local * np.array([geom.b, geom.a])) @ geom.local_frame().T
     points += np.asarray(geom.center)
-    areas = _signed_areas(points[triangles])
-    if areas.min() <= 1e-14:
-        raise GeometryError("triangulation produced a degenerate triangle")
-
-    incidence = _edge_incidence(triangles)
-    uniq, _, counts = incidence
-    boundary_edges = uniq[counts == 1]
-    ends = local[boundary_edges]
-    boundary_tags = np.select(
-        [(ends[:, :, 0] == 0.0).all(axis=1), (ends[:, :, 1] == 0.0).all(axis=1)],
-        [MAJOR_AXIS, MINOR_AXIS], INCLUSION,
-    )
-    if (boundary_tags == INCLUSION).sum() != quarter_arc or (
-        (boundary_tags == MAJOR_AXIS).sum() != nr
-        or (boundary_tags == MINOR_AXIS).sum() != nr
-    ):
+    mesh = _finish(points, triangles, np.full(triangles.shape[0], Y2, dtype=np.int64),
+                   boundary=by_axis)
+    sides = [int((mesh.boundary_tags == tag).sum())
+             for tag in (INCLUSION, MAJOR_AXIS, MINOR_AXIS)]
+    if sides != [quarter_arc, nr, nr]:
         raise GeometryError("inclusion mesh boundary does not close the quarter")
     quarter_area = 0.125 * n_arc * math.sin(2.0 * np.pi / n_arc) * geom.a * geom.b
-    if abs(float(areas.sum()) - quarter_area) > 1e-10 * quarter_area:
+    if abs(float(mesh.areas.sum()) - quarter_area) > 1e-10 * quarter_area:
         raise GeometryError("inclusion mesh area mismatch")
-
-    return TriMesh._with_facts(points, triangles,
-                               np.full(triangles.shape[0], Y2, dtype=np.int64),
-                               boundary_edges, boundary_tags,
-                               edge_incidence=incidence, areas=areas)
+    return mesh
 
 
 def periodic_pairs(mesh: TriMesh) -> np.ndarray:
@@ -579,7 +579,7 @@ def periodic_pairs(mesh: TriMesh) -> np.ndarray:
     corner at the origin.  A vertex off the frame, a gap above tolerance or
     sides that do not pair one to one raise PeriodicityError.
     """
-    outer = np.unique(mesh.boundary_edges[mesh.boundary_tags == OUTER])
+    outer = mesh.tagged_vertices(OUTER)
     if outer.size == 0:
         raise PeriodicityError("mesh has no outer boundary to pair")
     xy = mesh.vertices[outer]
@@ -644,28 +644,6 @@ def submesh(mesh: TriMesh, label: int) -> tuple[TriMesh, np.ndarray]:
     return sub, vmap
 
 
-def validate_mesh(mesh: TriMesh) -> None:
-    """Check orientation, conformity, boundary edges and subdomain labels."""
-    if not mesh.areas.min() > 0.0:  # also catches NaN
-        raise ValueError("mesh has a non-positively-oriented triangle")
-    uniq, _, counts = mesh.edge_incidence
-    if counts.max() > 2:
-        raise ValueError("non-conforming mesh: edge shared by >2 triangles")
-    nv = 1 + max(int(mesh.triangles.max()), int(mesh.boundary_edges.max(initial=0)))
-    keys = _edge_keys(uniq, nv)
-    listed = _edge_keys(mesh.boundary_edges, nv)
-    unlisted = (counts == 1) & ~np.isin(keys, listed)
-    if unlisted.any():
-        e = uniq[np.argmax(unlisted)]
-        raise ValueError(f"open edge {(int(e[0]), int(e[1]))} not in boundary_edges")
-    absent = ~np.isin(listed, keys)
-    if absent.any():
-        key = divmod(int(listed[np.argmax(absent)]), nv)
-        raise ValueError(f"boundary edge {key} not present in the mesh")
-    if not np.isin(mesh.subdomain, [OMEGA, Y1, Y2]).all():
-        raise ValueError("unknown subdomain label")
-
-
 _MSH_LINE = 1
 _MSH_TRIANGLE = 2
 _MSH_POINT = 15
@@ -690,9 +668,10 @@ def read_msh(path, subdomain_map: dict[int, str] | None = None) -> TriMesh:
     ``subdomain_map`` (by default ``SUBDOMAIN_NAMES``); a map value that is
     not a subdomain name is a ValueError, and any other defect of the file a
     MeshFormatError.  Each subdomain is turned counterclockwise as a whole,
-    so a triangle listed against the orientation of the rest of its
-    subdomain comes back negative.  The boundary is the open edges, tagged
-    OUTER, and the edges between Y1 and Y2, tagged INCLUSION.
+    then checked by ``_finish`` as a mesher's output is, so a triangle listed
+    against the rest of its subdomain, or twice, is a GeometryError.  The
+    boundary is the open edges, tagged OUTER, and the edges between Y1 and
+    Y2, tagged INCLUSION.
     """
     sub_map = SUBDOMAIN_NAMES if subdomain_map is None else subdomain_map
     for name in sub_map.values():
@@ -774,13 +753,10 @@ def read_msh(path, subdomain_map: dict[int, str] | None = None) -> TriMesh:
 
     # a mesher orients all triangles of a surface one way: turn each
     # subdomain counterclockwise as a whole, so that a triangle listed
-    # against its neighbours stays negative for validate_mesh to reject
+    # against its neighbours stays negative for _finish to refuse
     triangles = np.asarray(tris, dtype=np.int64)
     subdomain = np.asarray(sub, dtype=int)
     turn = np.bincount(subdomain, weights=_signed_areas(coords[triangles]))
     flip = turn[subdomain] < 0.0
     triangles[flip] = triangles[flip][:, [0, 2, 1]]
-    incidence = _edge_incidence(triangles)
-    return TriMesh._with_facts(coords, triangles, subdomain,
-                               *_tag_edges(*incidence, subdomain),
-                               edge_incidence=incidence)
+    return _finish(coords, triangles, subdomain)

@@ -1,11 +1,11 @@
 """Snapshot and series writers: legacy VTK, CSV.
 
 Floats are written as their repr, which reads back bit for bit.  Each file
-is built as one string, column by column.  The text that depends only on
-the mesh (the VTK points and cells, the CSV coordinate columns) is cached
-for the last mesh written, so the snapshots of a run, which share one mesh
-object, build it once.  Meshes are immutable and hash by identity, so the
-mesh object is the cache key.
+is built column by column, a series _CHUNK_ROWS rows at a time.  The text
+that depends only on the mesh (the VTK points and cells, the CSV coordinate
+columns) is cached for the last mesh written, so the snapshots of a run,
+which share one mesh object, build it once.  Meshes are immutable and hash
+by identity, so the mesh object is the cache key.
 """
 from __future__ import annotations
 
@@ -16,6 +16,8 @@ from functools import lru_cache
 import numpy as np
 
 from .mesh import TriMesh
+
+_CHUNK_ROWS = 4096
 
 
 @lru_cache(maxsize=1)
@@ -54,13 +56,14 @@ def write_vtk(mesh: TriMesh, values: np.ndarray, path, name: str = "u") -> None:
                  f"SCALARS {name} double 1\nLOOKUP_TABLE default\n{data}")
 
 
-def _write_csv(path, names: list[str], rows: str) -> None:
-    """Write a header row of ``names`` (quoted where CSV needs it), then the
-    ``\\r\\n``-terminated ``rows``."""
+def _write_csv(path, names: list[str], chunks) -> None:
+    """Write a header row of ``names`` (quoted where CSV needs it), then
+    each string of ``chunks``, a run of ``\\r\\n``-terminated rows."""
     header = io.StringIO()
     csv.writer(header).writerow(names)
     with open(path, "w", newline="") as fh:
-        fh.write(header.getvalue() + rows)
+        fh.write(header.getvalue())
+        fh.writelines(chunks)
 
 
 def write_snapshot_csv(mesh: TriMesh, values: np.ndarray, path,
@@ -69,7 +72,7 @@ def write_snapshot_csv(mesh: TriMesh, values: np.ndarray, path,
     values = _nodal_values(mesh, values)
     prefixes = _csv_prefixes(mesh)
     _write_csv(path, ["x1", "x2", name],
-               "".join([f"{p}{v!r}\r\n" for p, v in zip(prefixes, values)]))
+               ["".join([f"{p}{v!r}\r\n" for p, v in zip(prefixes, values)])])
 
 
 def _column_text(a: np.ndarray) -> list[str]:
@@ -86,6 +89,8 @@ def write_series_csv(path, columns: dict[str, np.ndarray]) -> None:
     length = arrays[0].shape[0]
     if any(a.shape != (length,) for a in arrays):
         raise ValueError("all columns must have equal length")
-    texts = [_column_text(a) for a in arrays]
-    _write_csv(path, list(columns),
-               "".join([",".join(row) + "\r\n" for row in zip(*texts)]))
+    def chunk(i: int) -> str:
+        texts = [_column_text(a[i:i + _CHUNK_ROWS]) for a in arrays]
+        return "".join([",".join(row) + "\r\n" for row in zip(*texts)])
+
+    _write_csv(path, list(columns), map(chunk, range(0, length, _CHUNK_ROWS)))

@@ -1,9 +1,32 @@
-"""Mesh helpers the tests share: the full inclusion disk mirrored from the
-quarter that ``build_inclusion_mesh`` returns, and an MSH 2.2 writer and
-element edits for ``read_msh`` fixtures."""
+"""Mesh helpers the tests share: a mesh oracle, the full inclusion disk
+mirrored from the quarter that ``build_inclusion_mesh`` returns, and an MSH
+2.2 writer and element edits for ``read_msh`` fixtures."""
 import numpy as np
 
 from homogmem import mesh as msh
+
+
+def validate_mesh(mesh: msh.TriMesh) -> None:
+    """Check orientation, conformity, boundary edges and subdomain labels."""
+    if not mesh.areas.min() > 0.0:  # also catches NaN
+        raise ValueError("mesh has a non-positively-oriented triangle")
+    uniq, _, counts = mesh.edge_incidence
+    if counts.max() > 2:
+        raise ValueError("non-conforming mesh: edge shared by >2 triangles")
+    nv = 1 + max(int(mesh.triangles.max()), int(mesh.boundary_edges.max(initial=0)))
+    keys = msh._edge_keys(uniq, nv)
+    listed = msh._edge_keys(mesh.boundary_edges, nv)
+    unlisted = (counts == 1) & ~np.isin(keys, listed)
+    if unlisted.any():
+        e = uniq[np.argmax(unlisted)]
+        raise ValueError(f"open edge {(int(e[0]), int(e[1]))} not in boundary_edges")
+    absent = ~np.isin(listed, keys)
+    if absent.any():
+        key = divmod(int(listed[np.argmax(absent)]), nv)
+        raise ValueError(f"boundary edge {key} not present in the mesh")
+    if not np.isin(mesh.subdomain, [msh.OMEGA, msh.Y1, msh.Y2]).all():
+        raise ValueError("unknown subdomain label")
+
 
 # reflection signs (major-axis side x, minor-axis side y) of the four copies
 _COPIES = ((1, 1), (-1, 1), (1, -1), (-1, -1))

@@ -14,7 +14,8 @@ from scipy.spatial import Delaunay, cKDTree
 
 from homogmem import fem, kernel as ker, mesh as msh
 from homogmem.errors import GeometryError, MeshFormatError, PeriodicityError
-from meshtools import LINE_EDITS, edit_line_elements, mirror_quarter, write_msh
+from meshtools import (LINE_EDITS, edit_line_elements, mirror_quarter, validate_mesh,
+                       write_msh)
 
 
 def polygon_area(points):
@@ -115,7 +116,7 @@ class TestUnitSquareMesh:
         assert mesh.boundary_edges.shape[0] == 16
         assert (mesh.boundary_tags == msh.OUTER).all()
         assert (mesh.subdomain == msh.OMEGA).all()
-        msh.validate_mesh(mesh)
+        validate_mesh(mesh)
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_boundary_is_the_open_edges(self, n):
@@ -138,6 +139,16 @@ class TestUnitSquareMesh:
         assert a == a and a != b
         assert len({a, b, a}) == 2
 
+    def test_tagged_vertices(self):
+        # vertex 3j + i sits at (i/2, j/2); all but the centre are on the frame
+        mesh = msh.build_unit_square_mesh(2)
+        outer = mesh.tagged_vertices((msh.OUTER,))
+        np.testing.assert_array_equal(outer, [0, 1, 2, 3, 5, 6, 7, 8])
+        assert outer.dtype == np.int64
+        np.testing.assert_array_equal(mesh.tagged_vertices(msh.OUTER), outer)
+        assert mesh.tagged_vertices((msh.INCLUSION,)).size == 0
+        assert mesh.tagged_vertices(()).size == 0
+
     def test_label_override(self):
         mesh = msh.build_unit_square_mesh(3, label=msh.Y1)
         assert (mesh.subdomain == msh.Y1).all()
@@ -150,7 +161,7 @@ class TestUnitSquareMesh:
 class TestCellMesh:
     def test_valid_and_labeled(self, coarse_cell_mesh, ref_geom):
         mesh = coarse_cell_mesh
-        msh.validate_mesh(mesh)
+        validate_mesh(mesh)
         assert abs(mesh.areas.sum() - 1.0) <= 1e-12
         measure = mesh.subdomain_measure(msh.Y2)
         assert measure == pytest.approx(ref_geom.inclusion_measure, rel=1e-3)
@@ -513,7 +524,7 @@ def full_inclusion(geom, h, n_arc):
 class TestInclusionMesh:
     def test_valid_pure_inclusion(self, ref_geom):
         mesh = full_inclusion(ref_geom, 1.0 / 24, n_arc=64)
-        msh.validate_mesh(mesh)
+        validate_mesh(mesh)
         assert (mesh.subdomain == msh.Y2).all()
         assert (mesh.boundary_tags == msh.INCLUSION).all()
         assert mesh.boundary_edges.shape[0] == 64
@@ -543,7 +554,7 @@ class TestInclusionMesh:
     def test_quarter_is_cut_along_both_axes(self, h, n_arc, angle):
         geom = msh.CellGeometry(a=0.4, b=0.2, angle_deg=angle)
         quarter = msh.build_inclusion_mesh(geom, h, n_arc=n_arc)
-        msh.validate_mesh(quarter)
+        validate_mesh(quarter)
         assert quarter.n_vertices == msh.inclusion_mesh_vertices(geom.a, h, n_arc)
         local = (quarter.vertices - np.array(geom.center)) @ geom.local_frame()
         assert (local >= -1e-15).all()
@@ -653,7 +664,7 @@ class TestPeriodicPairs:
         # the left side only leaves its master without a slave
         for a, b, match in ((2, 5, "mismatch"), (0, 3, "one to one")):
             split = split_boundary_edge(mesh, a, b)
-            msh.validate_mesh(split)
+            validate_mesh(split)
             with pytest.raises(PeriodicityError, match=match):
                 msh.periodic_pairs(split)
 
@@ -677,8 +688,8 @@ class TestSubmesh:
         assert (y2.boundary_tags == msh.INCLUSION).all()
         assert (y1.boundary_tags == msh.INCLUSION).sum() == 128
         assert (y1.subdomain == msh.Y1).all()
-        msh.validate_mesh(y1)
-        msh.validate_mesh(y2)
+        validate_mesh(y1)
+        validate_mesh(y2)
 
     def test_edges_new_to_the_submesh_are_tagged_outer(self):
         mesh = msh.build_unit_square_mesh(4)
@@ -740,7 +751,7 @@ class TestCachedFacts:
         for mesh in (coarse_cell_mesh, msh.build_unit_square_mesh(6),
                      msh.build_inclusion_mesh(ref_geom, 1.0 / 24, n_arc=64),
                      msh.read_msh(path)):
-            assert "edge_incidence" in vars(mesh)
+            assert {"edge_incidence", "areas"} <= vars(mesh).keys()
             assert_facts_are_fresh(mesh)
 
 
@@ -778,7 +789,7 @@ class TestValidateMesh:
         tris[0] = tris[0][::-1]
         bad = dataclasses.replace(mesh, triangles=tris)
         with pytest.raises(ValueError):
-            msh.validate_mesh(bad)
+            validate_mesh(bad)
 
     def test_nan_vertex_rejected(self):
         # every comparison with a NaN area is false, so the area test must
@@ -788,7 +799,7 @@ class TestValidateMesh:
         vertices[4] = np.nan  # the one interior vertex
         bad = dataclasses.replace(mesh, vertices=vertices)
         with pytest.raises(ValueError, match="non-positively-oriented"):
-            msh.validate_mesh(bad)
+            validate_mesh(bad)
 
     def test_missing_boundary_edge_rejected(self):
         mesh = msh.build_unit_square_mesh(2)
@@ -798,7 +809,7 @@ class TestValidateMesh:
             boundary_tags=mesh.boundary_tags[1:],
         )
         with pytest.raises(ValueError):
-            msh.validate_mesh(bad)
+            validate_mesh(bad)
 
     def test_boundary_edge_absent_from_mesh_rejected(self):
         mesh = msh.build_unit_square_mesh(2)
@@ -809,7 +820,7 @@ class TestValidateMesh:
                 boundary_tags=np.append(mesh.boundary_tags, msh.OUTER),
             )
             with pytest.raises(ValueError, match="not present"):
-                msh.validate_mesh(bad)
+                validate_mesh(bad)
 
 
 class TestSerialization:
@@ -838,6 +849,28 @@ class TestSerialization:
         for ref in (intact, coarse_cell_mesh):
             np.testing.assert_array_equal(back.boundary_edges, ref.boundary_edges)
             np.testing.assert_array_equal(back.boundary_tags, ref.boundary_tags)
+
+    # the reader checks its own output as every mesher does: a triangle turned
+    # against the rest of its subdomain, or one listed twice under a new id
+    @pytest.mark.parametrize("defect, message", [
+        ("clockwise", "degenerate triangle, or one listed clockwise"),
+        ("duplicated", "an edge is shared by more than two triangles"),
+    ])
+    def test_msh_rejects_an_invalid_triangulation(self, tmp_path, defect, message):
+        path = tmp_path / "cell.msh"
+        write_msh(msh.build_unit_square_mesh(2), path)
+        lines = path.read_text().splitlines()
+        k = next(i for i, ln in enumerate(lines) if ln.split()[1:2] == ["2"])
+        parts = lines[k].split()
+        if defect == "duplicated":
+            start = lines.index("$Elements") + 1
+            lines[start] = str(int(lines[start]) + 1)
+            lines.insert(k + 1, " ".join(["999"] + parts[1:]))
+        else:
+            lines[k] = " ".join(parts[:-2] + parts[-1:] + parts[-2:-1])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(GeometryError, match=message):
+            msh.read_msh(path)
 
     def test_msh_rejects_bad_version(self, tmp_path):
         path = tmp_path / "bad.msh"

@@ -2,6 +2,7 @@
 that guard them."""
 import csv
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +99,33 @@ def test_series_csv_bytes(tmp_path):
     path = tmp_path / "series.csv"
     output.write_series_csv(path, {"n": np.arange(3), "t": np.array([0.0, 0.1, 0.2])})
     assert path.read_bytes() == b"n,t\r\n0,0.0\r\n1,0.1\r\n2,0.2\r\n"
+
+
+@pytest.mark.parametrize("length", [0, 1, output._CHUNK_ROWS, 2 * output._CHUNK_ROWS + 3])
+def test_series_csv_bytes_across_chunks(tmp_path, length):
+    t = np.linspace(0.0, 1.0, length) ** 3
+    path = tmp_path / "series.csv"
+    output.write_series_csv(path, {"n": np.arange(length), "t": t})
+    rows = ["n,t"] + [f"{k},{float(v)!r}" for k, v in enumerate(t)]
+    assert path.read_bytes() == ("\r\n".join(rows) + "\r\n").encode()
+
+
+def test_series_csv_text_is_built_a_chunk_at_a_time(tmp_path, monkeypatch):
+    # the writer holds one chunk's text at a time, not the whole file's: at
+    # 40 chunks its peak is 0.29 of the file's size, where the whole text
+    # built as Python strings at once peaked at 8 times it
+    monkeypatch.setattr(output, "_CHUNK_ROWS", 256)
+    length = 40 * output._CHUNK_ROWS
+    columns = {"n": np.arange(length), "t": np.linspace(0.0, 1.0, length),
+               "energy": np.random.default_rng(0).random(length)}
+    path = tmp_path / "series.csv"
+    tracemalloc.start()
+    try:
+        output.write_series_csv(path, columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * path.stat().st_size
 
 
 def test_shape_mismatches_rejected(tmp_path):
